@@ -15,20 +15,13 @@
 //!    shard count with `threads` ∈ {1, 2, 4}: thread counts must leave
 //!    metrics and event counts byte-identical while the wake-gated
 //!    prefetch regions fan row construction out across workers.
-//! 4. **Parallel batch commit** (PR 9) — far-apart beacon clusters at
-//!    4096 and 16384 nodes, shards ∈ {4, 8} × threads ∈ {1, 2, 4}:
-//!    every lookahead window carries several span-disjoint groups, so
-//!    worker threads commit whole per-band batches concurrently. The
-//!    harness asserts identical metrics and event counts across thread
-//!    counts and that every threaded leg really committed batches.
-//!    All legs of this section run the per-node RNG stream family.
 //!
 //! ```text
 //! bench_scaling [--smoke] [--out PATH] [--secs N] [--seed N]
 //! ```
 //!
 //! `--out PATH` writes a JSON report (`scripts/bench.sh` points it at
-//! `BENCH_PR9.json`; `BENCH_PR2/4/6/7.json` are earlier baselines);
+//! `BENCH_SCALING.json`; `BENCH_PR2/4/6/7/9.json` are earlier baselines);
 //! `--smoke` shrinks the run to a CI-friendly correctness check.
 
 use std::fmt::Write as _;
@@ -149,33 +142,12 @@ struct ThreadRow {
     cells: Vec<ThreadCell>,
 }
 
-/// One thread count's timing in the parallel-batch-commit section.
-struct CommitCell {
-    threads: usize,
-    events_per_sec: f64,
-    ns_per_event: f64,
-    /// threads = 1 wall time / this wall time.
-    speedup: f64,
-    /// Parallel batches the commit engine executed (0 at threads = 1).
-    batches: u64,
-}
-
-struct CommitRow {
-    nodes: usize,
-    clusters: usize,
-    shards: usize,
-    sim_secs: u64,
-    events: u64,
-    cells: Vec<CommitCell>,
-}
-
 fn json_report(
     sim_secs: u64,
     seed: u64,
     rows: &[Row],
     shard_rows: &[ShardRow],
     thread_rows: &[ThreadRow],
-    commit_rows: &[CommitRow],
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -246,32 +218,6 @@ fn json_report(
         }
         s.push_str("]}");
         s.push_str(if i + 1 < thread_rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    s.push_str("  ],\n  \"commit_rows\": [\n");
-    for (i, r) in commit_rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"nodes\": {}, \"clusters\": {}, \"shards\": {}, \
-             \"sim_seconds\": {}, \"events\": {}, \"rng_streams\": true, \"engines\": [",
-            r.nodes, r.clusters, r.shards, r.sim_secs, r.events
-        );
-        for (j, c) in r.cells.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{{\"threads\": {}, \"events_per_sec\": {:.0}, \
-                 \"ns_per_event\": {:.1}, \"speedup\": {:.2}, \"commit_batches\": {}}}",
-                c.threads, c.events_per_sec, c.ns_per_event, c.speedup, c.batches
-            );
-            if j + 1 < r.cells.len() {
-                s.push_str(", ");
-            }
-        }
-        s.push_str("]}");
-        s.push_str(if i + 1 < commit_rows.len() {
             ",\n"
         } else {
             "\n"
@@ -438,13 +384,9 @@ fn main() {
         let mut cells = Vec::new();
         let mut reference: Option<Measurement> = None;
         for &threads in thread_counts {
-            // Every leg shares the per-node stream family: threads > 1
-            // requires it (PR 9), and the family must match across legs
-            // for the runs to compare byte-identical.
             let cfg = SimConfig {
                 shards,
                 threads,
-                rng_streams: true,
                 ..SimConfig::default()
             };
             let m = measure_cfg(n, &cfg, true, secs, seed, 1);
@@ -491,128 +433,8 @@ fn main() {
         });
     }
 
-    // Parallel batch commit (PR 9): far-apart beacon clusters give the
-    // planner span-disjoint groups every lookahead window, so worker
-    // threads commit whole per-band batches — firmware dispatch, radio
-    // state machines, medium bookkeeping — concurrently. Thread counts
-    // must be behaviourally invisible, and every threaded leg must
-    // actually commit batches (a silent fall-back to the sequential
-    // drain would benchmark nothing). Wall-clock speedup needs real
-    // cores; a single-core host at best breaks even, paying the batch
-    // planner for no concurrency.
-    let commit_sizes: &[(usize, usize, u64)] = if smoke {
-        &[(48, 4, 20)]
-    } else {
-        &[(4096, 8, 60), (16384, 8, 20)]
-    };
-    let commit_shards: &[usize] = if smoke { &[4] } else { &[4, 8] };
-    let commit_threads: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4] };
-    println!();
-    println!(
-        "{:>6} {:>8} {:>6} {:>8} {:>10} {:>7} {:>12} {:>10} {:>8} {:>9}",
-        "nodes",
-        "clusters",
-        "shards",
-        "sim s",
-        "events",
-        "threads",
-        "events/s",
-        "ns/event",
-        "speedup",
-        "batches"
-    );
-    let mut commit_rows = Vec::new();
-    for &(n, clusters, secs) in commit_sizes {
-        for &shards in commit_shards {
-            let mut cells = Vec::new();
-            let mut reference: Option<Measurement> = None;
-            for &threads in commit_threads {
-                let cfg = SimConfig {
-                    shards,
-                    threads,
-                    rng_streams: true,
-                    // The smoke topology queues fewer events per window
-                    // than the default planner gate expects of a real
-                    // workload; the full sizes use the default gate.
-                    commit_batch_min_events: if smoke {
-                        1
-                    } else {
-                        SimConfig::default().commit_batch_min_events
-                    },
-                    ..SimConfig::default()
-                };
-                let start = Instant::now();
-                let (metrics, events, batches) =
-                    scaling::run_clusters(n, clusters, cfg, secs, seed);
-                let wall = start.elapsed();
-                let m = Measurement {
-                    metrics,
-                    events,
-                    wall,
-                };
-                if let Some(one) = &reference {
-                    assert_eq!(
-                        one.metrics, m.metrics,
-                        "{threads} commit threads changed behaviour at n={n}, shards={shards}"
-                    );
-                    assert_eq!(
-                        one.events, m.events,
-                        "{threads} commit threads changed the event count at n={n}, \
-                         shards={shards}"
-                    );
-                }
-                assert!(
-                    threads == 1 || batches > 0,
-                    "threads={threads} never committed a parallel batch at n={n}, \
-                     shards={shards} — the measurement is vacuous"
-                );
-                let speedup = reference
-                    .as_ref()
-                    .map_or(1.0, |one| one.wall.as_secs_f64() / m.wall.as_secs_f64());
-                println!(
-                    "{:>6} {:>8} {:>6} {:>8} {:>10} {:>7} {:>12.0} {:>10.1} {:>7.2}x {:>9}",
-                    n,
-                    clusters,
-                    shards,
-                    secs,
-                    m.events,
-                    threads,
-                    per_sec(&m),
-                    per_event_ns(&m),
-                    speedup,
-                    batches
-                );
-                cells.push(CommitCell {
-                    threads,
-                    events_per_sec: per_sec(&m),
-                    ns_per_event: per_event_ns(&m),
-                    speedup,
-                    batches,
-                });
-                if reference.is_none() {
-                    reference = Some(m);
-                }
-            }
-            commit_rows.push(CommitRow {
-                nodes: n,
-                clusters,
-                shards,
-                sim_secs: secs,
-                events: reference.expect("at least one thread count").events,
-                cells,
-            });
-        }
-    }
-
     if let Some(path) = out_path {
-        let report = json_report(
-            sim_secs,
-            seed,
-            &rows,
-            &shard_rows,
-            &thread_rows,
-            &commit_rows,
-        );
+        let report = json_report(sim_secs, seed, &rows, &shard_rows, &thread_rows);
         std::fs::write(&path, &report).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);

@@ -128,18 +128,15 @@ pub fn build_mobile(n: usize, cfg: SimConfig, seed: u64) -> Simulator<Beacon> {
 }
 
 /// Distance between cluster origins in [`build_clusters`] beyond the
-/// clusters' own extent — far outside any audible range, so the batch
-/// planner sees one span-disjoint group per cluster.
+/// clusters' own extent — far outside any audible range, so no cluster
+/// hears another.
 pub const CLUSTER_GAP_M: f64 = 1.0e5;
 
-/// The clustered variant for the parallel batch commit (PR 9):
-/// `clusters` beacon grids of `n / clusters` nodes each, pitched
-/// [`CLUSTER_GAP_M`] beyond audible range along x. Every lookahead
-/// window carries several clusters' timers at once (the phases cycle
-/// every 3 s across all clusters), so `cfg.threads` workers commit
-/// whole per-band batches concurrently. A *contiguous* grid can never
-/// exercise this path — adjacent bands' metre spans always overlap by
-/// `2·r_max`, welding them into a single group.
+/// The clustered variant: `clusters` beacon grids of `n / clusters`
+/// nodes each, pitched [`CLUSTER_GAP_M`] beyond audible range along x,
+/// so the sharded engine's bands fall on range-isolated clusters. The
+/// beacon phases cycle every 3 s across all clusters, so every
+/// lookahead window carries several clusters' timers at once.
 #[must_use]
 pub fn build_clusters(n: usize, clusters: usize, cfg: SimConfig, seed: u64) -> Simulator<Beacon> {
     let spacing = topology::radio_range_m(&cfg.rf) * 0.8;
@@ -159,9 +156,8 @@ pub fn build_clusters(n: usize, clusters: usize, cfg: SimConfig, seed: u64) -> S
     sim
 }
 
-/// Runs the clustered scenario and returns the final PHY metrics, the
-/// number of events processed and the number of parallel batches the
-/// commit engine executed (0 whenever `cfg.threads <= 1`).
+/// Runs the clustered scenario and returns the final PHY metrics plus
+/// the number of events processed.
 #[must_use]
 pub fn run_clusters(
     n: usize,
@@ -169,12 +165,8 @@ pub fn run_clusters(
     cfg: SimConfig,
     sim_secs: u64,
     seed: u64,
-) -> (Metrics, u64, u64) {
-    let mut sim = build_clusters(n, clusters, cfg, seed);
-    sim.run_for(Duration::from_secs(sim_secs));
-    let mut metrics = sim.metrics().clone();
-    metrics.stale_timers_dropped = 0;
-    (metrics, sim.events_processed(), sim.commit_batches())
+) -> (Metrics, u64) {
+    finish(build_clusters(n, clusters, cfg, seed), sim_secs)
 }
 
 /// Runs the scenario for `sim_secs` simulated seconds and returns the
@@ -230,46 +222,43 @@ mod tests {
     }
 
     #[test]
-    fn clustered_runs_agree_and_actually_commit_batches() {
+    fn clustered_runs_agree_across_threads() {
         let cfg = |threads: usize| SimConfig {
             shards: 4,
             threads,
             rng_streams: true,
-            // The 48-node smoke topology queues fewer events per window
-            // than the default planner gate expects of a real workload.
-            commit_batch_min_events: 1,
             ..SimConfig::default()
         };
-        let (m1, e1, b1) = run_clusters(48, 4, cfg(1), 15, 42);
+        let (m1, e1) = run_clusters(48, 4, cfg(1), 15, 42);
         assert!(m1.frames_delivered > 0, "clusters must deliver beacons");
-        assert_eq!(b1, 0, "sequential runs never batch-commit");
         for threads in [2, 4] {
-            let (m, e, b) = run_clusters(48, 4, cfg(threads), 15, 42);
+            let (m, e) = run_clusters(48, 4, cfg(threads), 15, 42);
             assert_eq!(m1, m, "{threads} threads changed behaviour");
             assert_eq!(e1, e, "{threads} threads changed the event count");
-            assert!(b > 0, "{threads} threads never committed a batch");
         }
     }
 
     #[test]
     fn mobile_runs_agree_across_shards_and_threads() {
-        // All legs — including the sequential reference — use the
-        // per-node stream family: threads > 1 requires it (PR 9), and
-        // the family must match across legs for the runs to compare.
-        let cfg = |shards: usize, threads: usize| SimConfig {
-            shards,
-            threads,
-            rng_streams: true,
-            ..SimConfig::default()
-        };
-        let reference = run_cfg(81, cfg(1, 1), true, 15, 42);
-        assert!(reference.0.frames_delivered > 0, "mobile grid must deliver");
-        for (shards, threads) in [(1, 2), (4, 1), (4, 4)] {
-            assert_eq!(
-                reference,
-                run_cfg(81, cfg(shards, threads), true, 15, 42),
-                "mobile run diverged at shards={shards}, threads={threads}"
-            );
+        // Either RNG family works with any thread count; the family must
+        // only match across the legs being compared.
+        for rng_streams in [false, true] {
+            let cfg = |shards: usize, threads: usize| SimConfig {
+                shards,
+                threads,
+                rng_streams,
+                ..SimConfig::default()
+            };
+            let reference = run_cfg(81, cfg(1, 1), true, 15, 42);
+            assert!(reference.0.frames_delivered > 0, "mobile grid must deliver");
+            for (shards, threads) in [(1, 2), (4, 1), (4, 4)] {
+                assert_eq!(
+                    reference,
+                    run_cfg(81, cfg(shards, threads), true, 15, 42),
+                    "mobile run diverged at shards={shards}, threads={threads}, \
+                     rng_streams={rng_streams}"
+                );
+            }
         }
     }
 }

@@ -89,11 +89,13 @@ pub struct Cli {
     /// Spatial shards for the event engine (1 = sequential reference;
     /// behaviourally transparent either way).
     pub shards: usize,
-    /// Worker threads inside the simulator's parallel evaluate regions
-    /// (1 = coordinator only; behaviourally transparent either way).
+    /// Worker threads inside the simulator's evaluate regions: mobility
+    /// stepping and link-row prefetch (1 = coordinator only;
+    /// behaviourally transparent either way).
     pub threads: usize,
-    /// Per-node RNG stream family (required for `--threads` > 1; picks
-    /// a different but equally valid stochastic trajectory).
+    /// Counter-keyed per-node RNG stream family instead of the default
+    /// fork chain (a different but equally valid stochastic trajectory;
+    /// works with any `--threads`).
     pub rng_streams: bool,
     /// Spreading factor.
     pub sf: SpreadingFactor,
@@ -174,9 +176,10 @@ OPTIONS:
   --seeds N                               replication seeds    [1]
   --jobs N                                worker threads for --seeds [1]
   --shards N                              spatial event-engine shards [1]
-  --threads N                             simulator worker threads [1]
-  --rng-streams                           per-node RNG streams (needed
-                                          for --threads > 1)
+  --threads N                             worker threads for mobility
+                                          and link-row prefetch [1]
+  --rng-streams                           counter-keyed per-node RNG
+                                          streams (another trajectory)
   --sf 7..12                              spreading factor     [7]
   --grey-zone                             probabilistic reception
   --no-link-cache                         disable link-budget caching
@@ -381,13 +384,6 @@ impl Cli {
     }
 
     fn validate(&self) -> Result<(), ParseError> {
-        if self.threads > 1 && !self.rng_streams {
-            return Err(ParseError(
-                "--threads > 1 requires --rng-streams: parallel band workers \
-                 mint per-node RNG streams independently"
-                    .into(),
-            ));
-        }
         let check = |i: usize, what: &str| {
             if i >= self.nodes {
                 Err(ParseError(format!(
@@ -602,23 +598,20 @@ mod tests {
             1,
             "coordinator only by default"
         );
-        assert_eq!(
-            parse(&["--threads", "2", "--rng-streams"]).unwrap().threads,
-            2
-        );
+        assert_eq!(parse(&["--threads", "2"]).unwrap().threads, 2);
         assert!(parse(&["--threads", "0"]).is_err());
         assert!(parse(&["--threads", "lots"]).is_err());
     }
 
     #[test]
-    fn rng_streams_parse_and_threads_guard() {
+    fn rng_streams_parse_and_threads_need_none() {
         assert!(!parse(&[]).unwrap().rng_streams, "fork-chain by default");
         assert!(parse(&["--rng-streams"]).unwrap().rng_streams);
-        // Parallel band workers mint per-node streams; the fork-chain
-        // family cannot serve them, so the combination is rejected at
-        // parse time rather than panicking inside the simulator.
-        let err = parse(&["--threads", "2"]).unwrap_err();
-        assert!(err.0.contains("--rng-streams"), "unhelpful error: {err}");
+        // Threads only spread the evaluate regions, which step mobility
+        // over per-node generators minted at node creation, so either
+        // stream family works with any thread count.
+        let cli = parse(&["--threads", "2"]).unwrap();
+        assert_eq!((cli.threads, cli.rng_streams), (2, false));
         assert!(parse(&["--threads", "2", "--rng-streams"]).is_ok());
     }
 

@@ -338,14 +338,7 @@ impl Config {
                 "crates/radio-sim/src/par.rs".into(),
             ],
             no_std_crates: vec!["core".into(), "lora-phy".into()],
-            par_entries: vec![
-                "run_chunks".into(),
-                "map_chunks".into(),
-                // The parallel batch commit (PR 9): whole per-band
-                // event batches run inside the closure, so everything
-                // it reaches is held to the worker-purity contract.
-                "commit_bands".into(),
-            ],
+            par_entries: vec!["run_chunks".into(), "map_chunks".into()],
             seq_files: vec![
                 "crates/radio-sim/src/sim.rs".into(),
                 "crates/radio-sim/src/event.rs".into(),
@@ -1154,10 +1147,9 @@ fn impurity_cols(line: &str) -> Vec<usize> {
         "static mut",
         "unsafe",
         "Cell",
-        // Coordinator-only simulator state (PR 9): workers inside a
-        // `commit_bands` region must never mint global sequence numbers
-        // or write the live trace — both are merged by the coordinator
-        // in `(time, seq)` order after the batch.
+        // Coordinator-only simulator state: worker regions must never
+        // mint global sequence numbers or write the live trace — both
+        // belong to the coordinator's `(time, seq)` dispatch order.
         "alloc_seq",
         "Trace",
     ] {

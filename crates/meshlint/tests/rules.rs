@@ -125,12 +125,12 @@ fn graph_rules_fire_on_their_seeded_violations() {
         "direct Mutex + transitive AtomicBool"
     );
     assert_eq!(count(&a.findings, Rule::F1, engine), 1, "captured `total`");
-    let commit = "crates/radio-sim/src/commit.rs";
+    let prefetch = "crates/radio-sim/src/prefetch.rs";
     assert_eq!(
-        count(&a.findings, Rule::P1, commit),
+        count(&a.findings, Rule::P1, prefetch),
         2,
         "direct alloc_seq mint + transitive Trace write in a \
-         commit_bands region: {:#?}",
+         map_chunks region: {:#?}",
         a.findings
     );
     let sim = "crates/radio-sim/src/sim.rs";

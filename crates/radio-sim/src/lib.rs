@@ -29,8 +29,10 @@
 //! * [`grid`] — uniform spatial grid bounding each node's audibility
 //!   candidates (flattens link-row fills from O(n) to local density).
 //! * [`shard`] — spatial partitioning for the sharded event engine.
-//! * [`par`] — deterministic fork-join helper for the worker-thread
-//!   regions (`SimConfig::threads`).
+//! * [`par`] — deterministic fork-join helper for the evaluate regions
+//!   (mobility stepping, link-row prefetch) that `SimConfig::threads`
+//!   spreads over worker threads; events are always dispatched on the
+//!   coordinator thread.
 //! * [`radio`] — per-node half-duplex radio state machine.
 //! * [`firmware`] — the [`Firmware`] trait protocol implementations adapt to.
 //! * [`topology`] — node placement generators.

@@ -120,40 +120,6 @@ impl Metrics {
         }
     }
 
-    /// Adds every counter from `other` into `self`.
-    ///
-    /// All fields are additive (counts and durations), so absorbing
-    /// per-band deltas in any order yields exactly the totals the
-    /// sequential engine would have accumulated event by event. The
-    /// per-node vector grows to the longer of the two, matching the
-    /// "max touched node + 1" length the incremental path produces.
-    pub fn absorb(&mut self, other: &Metrics) {
-        self.frames_transmitted += other.frames_transmitted;
-        self.frames_delivered += other.frames_delivered;
-        self.lost_below_floor += other.lost_below_floor;
-        self.lost_collision += other.lost_collision;
-        self.lost_truncated += other.lost_truncated;
-        self.lost_injected += other.lost_injected;
-        self.tx_while_busy += other.tx_while_busy;
-        self.tx_while_dead += other.tx_while_dead;
-        self.tx_oversized += other.tx_oversized;
-        self.rx_aborted_by_tx += other.rx_aborted_by_tx;
-        self.total_airtime += other.total_airtime;
-        self.stale_timers_dropped += other.stale_timers_dropped;
-        if other.per_node.len() > self.per_node.len() {
-            self.per_node
-                .resize(other.per_node.len(), NodeCounters::default());
-        }
-        for (mine, theirs) in self.per_node.iter_mut().zip(&other.per_node) {
-            mine.transmitted += theirs.transmitted;
-            mine.received += theirs.received;
-            mine.lost += theirs.lost;
-            mine.cad_scans += theirs.cad_scans;
-            mine.cad_busy += theirs.cad_busy;
-            mine.airtime += theirs.airtime;
-        }
-    }
-
     /// Total reception losses across all reasons.
     #[must_use]
     pub fn total_losses(&self) -> u64 {
@@ -219,36 +185,6 @@ mod tests {
         assert_eq!(m.per_node.len(), 4);
         assert_eq!(m.node_counters(NodeId(1)), NodeCounters::default());
         assert_eq!(m.node_counters(NodeId(3)).received, 1);
-    }
-
-    #[test]
-    fn absorb_matches_incremental_recording() {
-        // Record one interleaved history, then the same history split in
-        // two halves absorbed into a fresh accumulator — byte-identical.
-        let mut whole = Metrics::new();
-        let mut a = Metrics::new();
-        let mut b = Metrics::new();
-        whole.record_tx(NodeId(2), Duration::from_millis(40));
-        a.record_tx(NodeId(2), Duration::from_millis(40));
-        whole.record_delivery(NodeId(5));
-        b.record_delivery(NodeId(5));
-        whole.record_loss(NodeId(0), LossReason::Injected);
-        a.record_loss(NodeId(0), LossReason::Injected);
-        whole.record_cad(NodeId(1), true);
-        b.record_cad(NodeId(1), true);
-        whole.tx_while_busy += 1;
-        b.tx_while_busy += 1;
-
-        let mut merged = Metrics::new();
-        merged.absorb(&a);
-        merged.absorb(&b);
-        assert_eq!(merged, whole);
-
-        // Order independence.
-        let mut flipped = Metrics::new();
-        flipped.absorb(&b);
-        flipped.absorb(&a);
-        assert_eq!(flipped, whole);
     }
 
     #[test]

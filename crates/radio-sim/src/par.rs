@@ -169,42 +169,6 @@ where
     });
 }
 
-/// Runs one closure invocation per worker, in parallel: worker 0 on the
-/// calling thread, the rest on scoped threads. This is the parallel
-/// *commit* entry — unlike [`run_chunks`], each worker dispatches whole
-/// per-band event batches (firmware, radio state, medium bookkeeping),
-/// so the closure body is a commit region under meshlint's `p1` rule:
-/// it must not reach coordinator-only state (the global event queue's
-/// seq counter, the live trace writer) on pain of nondeterminism.
-///
-/// Worker panics propagate to the caller.
-pub fn commit_bands<W, F>(workers: &mut [W], f: F)
-where
-    W: Send,
-    F: Fn(&mut W) + Sync,
-{
-    let Some((first, rest)) = workers.split_first_mut() else {
-        return;
-    };
-    if rest.is_empty() {
-        f(first);
-        return;
-    }
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in rest {
-            let fr = &f;
-            handles.push(scope.spawn(move || fr(w)));
-        }
-        f(first);
-        for h in handles {
-            if let Err(p) = h.join() {
-                std::panic::resume_unwind(p);
-            }
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,15 +226,6 @@ mod tests {
             let expected_b: Vec<u32> = (0..53).collect();
             assert_eq!(a, expected_a, "threads = {threads}");
             assert_eq!(b, expected_b, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn commit_bands_runs_each_worker_once() {
-        for n in [0usize, 1, 2, 5] {
-            let mut workers: Vec<u32> = vec![0; n];
-            commit_bands(&mut workers, |w| *w += 1);
-            assert!(workers.iter().all(|&w| w == 1), "n = {n}");
         }
     }
 

@@ -241,25 +241,6 @@ impl Radio {
     pub fn finish(&mut self, now: SimTime) {
         self.accumulate(now);
     }
-
-    /// Rewrites every frame id stored in the radio (the Tx/Rx state, the
-    /// locked reception and its interferer set) through `f`. Used by the
-    /// parallel commit merge to replace a band worker's provisional
-    /// frame ids with the real ones the coordinator allocated; `f` must
-    /// be order-preserving on the ids it renames so the interferer set
-    /// stays ascending.
-    pub fn remap_frames(&mut self, f: impl Fn(FrameId) -> FrameId) {
-        match &mut self.state {
-            RadioState::Tx { frame, .. } | RadioState::Rx { frame, .. } => *frame = f(*frame),
-            RadioState::Off | RadioState::Idle | RadioState::Cad { .. } => {}
-        }
-        if let Some(rec) = &mut self.reception {
-            rec.frame = f(rec.frame);
-            for (id, _) in &mut rec.interferers {
-                *id = f(*id);
-            }
-        }
-    }
 }
 
 impl Default for Radio {

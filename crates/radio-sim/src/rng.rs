@@ -10,12 +10,11 @@
 //! with [`SimRng::fork`], which mixes a stream identifier into the seed so
 //! that adding a node never perturbs the random sequence of another.
 //!
-//! [`SimRng::stream`] is the parallel-engine variant of the same idea: a
+//! [`SimRng::stream`] is a second derivation of the same idea: a
 //! counter-keyed SplitMix64 derivation straight from the *master seed*,
-//! needing no root generator value at all. Any worker that knows
-//! `(master_seed, stream_id)` can mint the stream locally, which is what
-//! makes per-node streams reproducible independently of which shard or
-//! thread hosts the node (see `SimConfig::rng_streams`).
+//! needing no root generator value at all, so anything that knows
+//! `(master_seed, stream_id)` can mint the stream locally (see
+//! `SimConfig::rng_streams`).
 
 /// A deterministic xoshiro256++ pseudo-random number generator.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -64,8 +63,7 @@ impl SimRng {
     /// two SplitMix64 steps walk the counter away from the plain-seed
     /// sequence before the usual xoshiro seeding, so `stream(s, k)` is
     /// decorrelated both from `new(s)` and from every other counter.
-    /// This is the derivation the parallel engine can evaluate on any
-    /// worker thread without sharing a generator.
+    /// Any thread can evaluate it without sharing a generator.
     #[must_use]
     pub fn stream(seed: u64, stream_id: u64) -> SimRng {
         let mut key = stream_id.wrapping_mul(0x9e6c_63d0_876a_46ad);

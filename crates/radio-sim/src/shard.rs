@@ -111,9 +111,8 @@ fn gap_window(len: usize, shards: usize) -> usize {
 /// node of the next band". Quantile placement puts edges *at node
 /// coordinates*, which can weld two distant clusters into one band
 /// whenever a cut lands a node or two past the gap between them; such a
-/// straddling band serializes both clusters under the parallel batch
-/// planner (its metre span covers everything in between) and bloats
-/// every reach computation across the gap. Searching the `window`
+/// straddling band bloats every reach computation across the gap.
+/// Searching the `window`
 /// nearest gaps keeps the split within a few nodes of the quantile —
 /// preserving balance — while strongly preferring natural cluster
 /// boundaries. On uniform topologies every nearby gap ties and the

@@ -41,8 +41,6 @@ use crate::shard::{self, Partitioner};
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceEvent};
 
-mod commit;
-
 /// Worker regions are only spun up when at least this many independent
 /// items are queued; below it, spawn overhead dwarfs the work.
 const PAR_MIN_ITEMS: usize = 64;
@@ -94,31 +92,16 @@ pub struct SimConfig {
     /// the stale-timer drop *timing* differs (tests/shard_diff.rs) — so
     /// the sequential engine remains the differential reference.
     pub shards: usize,
-    /// Number of worker threads for the parallel regions: the evaluate
-    /// regions (mobility stepping and link-row prefetch; see
-    /// [`crate::par`]) and — when [`SimConfig::shards`] > 1 — the
-    /// parallel *commit* of per-band lookahead batches (see
-    /// [`crate::sim::commit`]). `1` (the default) runs everything on
-    /// the coordinator thread and never touches thread machinery.
-    /// Behaviourally transparent for every value — a parallel batch
-    /// replays exactly the global `(time, seq)` order through a
-    /// deterministic merge, and evaluate results merge in item order —
-    /// so traces, metrics and RNG draws are byte-identical across
-    /// thread counts (tests/shard_diff.rs). Values above `1` require
-    /// [`SimConfig::rng_streams`]: band workers must mint per-node
-    /// streams without touching a shared root generator, and making
-    /// the requirement explicit keeps a misconfiguration a startup
-    /// error instead of silent nondeterminism.
+    /// Number of worker threads for the evaluate regions: mobility
+    /// stepping and link-row prefetch (see [`crate::par`]). Events are
+    /// always dispatched one at a time on the coordinator thread; `1`
+    /// (the default) also runs the evaluate regions there and never
+    /// touches thread machinery. Behaviourally transparent for every
+    /// value — each item is a pure function of its own inputs and
+    /// results merge in item order — so traces, metrics and RNG draws
+    /// are byte-identical across thread counts under either RNG
+    /// derivation (tests/shard_diff.rs).
     pub threads: usize,
-    /// Minimum number of queued events (summed over the candidate
-    /// bands) before the sharded engine commits a lookahead batch on
-    /// worker threads instead of draining it on the coordinator.
-    /// Parallel batches buffer per-band outputs and therefore allocate;
-    /// below this threshold the sequential drain is both faster and
-    /// allocation-free, preserving the steady-state 0-allocs/event
-    /// coordinator invariant for small simulations
-    /// (tests/alloc_regression.rs).
-    pub commit_batch_min_events: usize,
     /// Index audibility candidates with a uniform spatial grid
     /// ([`crate::grid`]) so a link-cache row fill visits only the 3×3
     /// cell neighborhood instead of all n nodes. Behaviourally
@@ -129,14 +112,15 @@ pub struct SimConfig {
     /// the grid itself.
     pub spatial_grid: bool,
     /// Derive per-node RNG streams with the counter-keyed
-    /// [`SimRng::stream`] derivation (pure in `(master seed, node id)`,
-    /// mintable on any worker without a shared root generator) instead
-    /// of the classic [`SimRng::fork`] from the root generator's state.
-    /// Both derivations are engine-invariant — per-*node* streams are
-    /// untouched by shard or thread counts — but they produce different
+    /// [`SimRng::stream`] derivation (pure in `(master seed, node id)`)
+    /// instead of the classic [`SimRng::fork`] from the root generator's
+    /// state. Both derivations are engine-invariant — streams are minted
+    /// once per node at [`Simulator::add_mobile_node`], so shard and
+    /// thread counts never touch them — but they produce different
     /// draws, so the fork derivation stays the default as the pinned
     /// differential reference (the same pattern as `timer_tombstones`);
-    /// tests/shard_diff.rs runs the whole battery under both.
+    /// tests/shard_diff.rs runs the whole battery under both, and no
+    /// engine configuration requires either.
     pub rng_streams: bool,
 }
 
@@ -153,16 +137,13 @@ impl Default for SimConfig {
             threads: 1,
             spatial_grid: true,
             rng_streams: false,
-            commit_batch_min_events: 256,
         }
     }
 }
 
 /// The dispatch half of a node: firmware, radio state machine and timer
-/// bookkeeping. Owned by the coordinator between batches; during a
-/// parallel commit batch ([`commit`]) the slots of a band worker's zone
-/// move to that worker thread, which is why the run methods require
-/// `F: Send`.
+/// bookkeeping. Only the coordinator thread touches it — every event is
+/// dispatched there — so firmware never crosses threads.
 struct NodeSlot<F> {
     firmware: F,
     radio: Radio,
@@ -170,11 +151,11 @@ struct NodeSlot<F> {
     scheduled_wake: Option<Duration>,
 }
 
-/// The per-node state every parallel region reads *shared* during a
-/// batch (positions for link math, liveness for dispatch gates), split
-/// out of [`NodeSlot`] so it can cross worker threads by `&` reference:
-/// kills, revives and mobility ticks are coordinator-only events, so
-/// nothing here changes inside a batch window.
+/// The per-node state the evaluate regions work on (positions for link
+/// math and mobility, liveness gates), split out of [`NodeSlot`] so it
+/// can cross worker threads without the firmware type: link-row
+/// prefetch reads it by `&` reference, mobility stepping advances it
+/// chunk by chunk.
 struct NodeState {
     position: Position,
     mobility: MobilityState,
@@ -212,9 +193,6 @@ struct ShardState {
     active: Vec<Vec<(FrameId, NodeId, Position)>>,
     /// Scratch: bands touched by the current mobility tick.
     touched: Vec<bool>,
-    /// Pooled scratch for the parallel commit planner and its band
-    /// workers ([`commit`]), reused batch to batch.
-    commit: commit::CommitScratch,
 }
 
 impl ShardState {
@@ -249,10 +227,9 @@ pub struct Simulator<F: Firmware> {
     nodes: Vec<NodeSlot<F>>,
     /// Worker-visible per-node state, parallel to `nodes`.
     state: Vec<NodeState>,
-    /// Per-node RNG streams, parallel to `nodes`. Split out of
-    /// [`NodeState`] so a batch can hand each band worker `&mut` access
-    /// to exactly its owned nodes' generators while every worker shares
-    /// the rest of the state by `&` reference.
+    /// Per-node RNG streams, parallel to `nodes`. Kept out of
+    /// [`NodeState`], which link-row prefetch shares across workers;
+    /// mobility stepping zips the two slices chunk by chunk.
     rngs: Vec<SimRng>,
     queue: EventQueue,
     now: SimTime,
@@ -287,10 +264,6 @@ pub struct Simulator<F: Firmware> {
     active_scratch: Vec<(NodeId, Position)>,
     /// Events processed so far (throughput accounting for benches).
     events_processed: u64,
-    /// Parallel batch commits performed ([`commit`]): lets tests and
-    /// benches assert the threaded path genuinely ran, not just that
-    /// its gates declined everywhere.
-    commit_batches: u64,
     /// Sharded-engine state ([`SimConfig::shards`] > 1), built at start.
     shard: Option<ShardState>,
     /// The master seed (stream derivation for [`SimConfig::rng_streams`]).
@@ -337,7 +310,6 @@ impl<F: Firmware> Simulator<F> {
             interferer_scratch: Vec::new(),
             active_scratch: Vec::new(),
             events_processed: 0,
-            commit_batches: 0,
             shard: None,
             seed,
             audible_range,
@@ -456,13 +428,12 @@ impl<F: Firmware> Simulator<F> {
         self.events_processed
     }
 
-    /// Number of parallel batch commits performed so far. Zero on
-    /// single-threaded runs and on threaded runs whose windows never
-    /// cleared the planner's gates ([`SimConfig::commit_batch_min_events`],
-    /// two zone-disjoint candidate bands).
+    /// Always zero: the parallel batch commit this counted was retired
+    /// (DESIGN.md, "Parallel commit (retired)"). Kept so benchmark code
+    /// that reports the count still compiles.
     #[must_use]
     pub fn commit_batches(&self) -> u64 {
-        self.commit_batches
+        0
     }
 
     /// Number of link-cache row (re)builds so far — regression
@@ -533,13 +504,6 @@ impl<F: Firmware> Simulator<F> {
         if self.started {
             return;
         }
-        assert!(
-            self.config.threads <= 1 || self.config.rng_streams,
-            "SimConfig::threads > 1 requires SimConfig::rng_streams: band workers \
-             must mint per-node RNG streams without a shared root generator, and \
-             the fork-chain derivation cannot provide that (see DESIGN.md, \
-             \"Parallel commit\")"
-        );
         self.started = true;
         if self.config.shards > 1 && self.shard.is_none() {
             let xs: Vec<f64> = self.state.iter().map(|s| s.position.x).collect();
@@ -571,7 +535,6 @@ impl<F: Firmware> Simulator<F> {
                 lookahead: shard::min_lookahead(self.medium.config()),
                 active: vec![Vec::new(); bands],
                 touched: vec![false; bands],
-                commit: commit::CommitScratch::default(),
                 parts,
             };
             // Transmissions begun before start (tests driving `with_node`
@@ -1454,14 +1417,7 @@ impl<F: Firmware> Simulator<F> {
         }
         self.queue.schedule(self.now + dt, SimEvent::MobilityTick);
     }
-}
 
-/// The run methods live in an `F: Send` impl because a parallel commit
-/// batch ([`commit`]) moves each band worker's `&mut NodeSlot<F>` onto a
-/// scoped worker thread. Every real firmware is `Send` (they own plain
-/// data), so the bound costs callers nothing; it simply makes "firmware
-/// crosses threads" part of the run-loop contract.
-impl<F: Firmware + Send> Simulator<F> {
     /// Runs until simulated time `until` (an offset from the start),
     /// processing every event scheduled before it.
     pub fn run_until(&mut self, until: Duration) {
@@ -1524,14 +1480,6 @@ impl<F: Firmware + Send> Simulator<F> {
     ///   handled by re-peeking the head every iteration;
     /// * the pre-batch second-best head caps the batch from the side of
     ///   the *existing* contents of the other queues.
-    ///
-    /// With [`SimConfig::threads`] > 1 the loop first offers the window
-    /// to the parallel commit planner ([`Self::commit_batch`]), which
-    /// executes several *zone-disjoint* band batches concurrently and
-    /// replays their buffered outputs in the same global `(time, seq)`
-    /// order. When the planner declines (conflicting zones, too little
-    /// queued work, a coordinator event up next) the sequential
-    /// single-band drain below is the unchanged fallback.
     fn run_merged(&mut self, until: SimTime) {
         loop {
             let mut best = self.queue.peek_key();
@@ -1557,9 +1505,6 @@ impl<F: Firmware + Send> Simulator<F> {
             if from == usize::MAX {
                 let (at, event) = self.queue.pop().expect("peeked");
                 self.dispatch(at, event);
-                continue;
-            }
-            if self.config.threads > 1 && self.commit_batch(t0, until) {
                 continue;
             }
             let horizon = t0 + self.shard.as_ref().expect("sharded engine").lookahead;
@@ -2126,37 +2071,29 @@ mod tests {
         (m, s.trace().entries().cloned().collect())
     }
 
-    /// Spot check: thread count is behaviourally invisible (the
-    /// exhaustive battery lives in tests/shard_diff.rs). Threaded runs
-    /// require per-node RNG streams, so the invariance is pinned within
-    /// the stream family.
+    /// Spot check: thread count is behaviourally invisible under both
+    /// RNG derivations (the exhaustive battery lives in
+    /// tests/shard_diff.rs).
     #[test]
     fn threads_do_not_change_outcomes() {
-        let seq = SimConfig {
-            rng_streams: true,
-            ..SimConfig::default()
-        };
-        let base = mobile_fingerprint(seq.clone());
-        for threads in [2usize, 4] {
-            let cfg = SimConfig {
-                threads,
-                ..seq.clone()
+        for rng_streams in [false, true] {
+            let seq = SimConfig {
+                rng_streams,
+                ..SimConfig::default()
             };
-            assert_eq!(mobile_fingerprint(cfg), base, "threads = {threads}");
+            let base = mobile_fingerprint(seq.clone());
+            for threads in [2usize, 4] {
+                let cfg = SimConfig {
+                    threads,
+                    ..seq.clone()
+                };
+                assert_eq!(
+                    mobile_fingerprint(cfg),
+                    base,
+                    "threads = {threads}, rng_streams = {rng_streams}"
+                );
+            }
         }
-    }
-
-    /// Threaded batch commit without per-node RNG streams would have to
-    /// share the fork-chain root generator across workers — a
-    /// configuration error, refused at startup.
-    #[test]
-    #[should_panic(expected = "requires SimConfig::rng_streams")]
-    fn threads_without_rng_streams_refuse_to_start() {
-        let cfg = SimConfig {
-            threads: 2,
-            ..SimConfig::default()
-        };
-        mobile_fingerprint(cfg);
     }
 
     /// Spot check: the spatial grid is behaviourally invisible (the

@@ -178,9 +178,6 @@ fn run_case(
     cfg.rf.grey_zone = true;
     cfg.shards = shards;
     cfg.threads = threads;
-    // Threaded legs require the per-node stream family; use it for the
-    // sequential reference too so the comparison is like-for-like.
-    cfg.rng_streams = true;
     let mut sim = Simulator::new(cfg, seed);
     let walk = Mobility::RandomWaypoint {
         width_m: 500.0,

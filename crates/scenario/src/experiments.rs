@@ -47,8 +47,9 @@ pub struct ExpOptions {
     /// Worker threads inside each simulator (parallel evaluate regions).
     /// Behaviourally transparent, so any value yields identical tables.
     pub threads: usize,
-    /// Per-node RNG stream family (PR 9). Required when `threads > 1`.
-    /// NOT behaviourally transparent — it selects a different (equally
+    /// Per-node RNG stream family (counter-keyed instead of the default
+    /// fork chain). Works with any `threads` value, but is NOT
+    /// behaviourally transparent — it selects a different (equally
     /// valid) sequence of stochastic draws — so every leg of a
     /// comparison must use the same setting.
     pub rng_streams: bool,

@@ -158,14 +158,13 @@ impl NetworkBuilder {
         self
     }
 
-    /// Selects the per-node RNG stream family (PR 9). Required whenever
-    /// `threads > 1`: band workers mint node streams independently, so
-    /// the fork-chain derivation of the default family cannot serve
-    /// them. Changing the family changes individual run trajectories
-    /// (every stochastic draw comes from a different stream) but not
-    /// the statistics — and it is deterministic for a given seed, so
-    /// sweeps stay reproducible and engine-invariant as long as every
-    /// leg of a comparison uses the same setting.
+    /// Selects the per-node RNG stream family: the counter-keyed
+    /// derivation instead of the default fork chain. Either family works
+    /// with any thread count. Changing the family changes individual run
+    /// trajectories (every stochastic draw comes from a different
+    /// stream) but not the statistics — and it is deterministic for a
+    /// given seed, so sweeps stay reproducible and engine-invariant as
+    /// long as every leg of a comparison uses the same setting.
     #[must_use]
     pub fn rng_streams(mut self, on: bool) -> Self {
         self.sim.rng_streams = on;

@@ -2,14 +2,11 @@
 # Perf trajectory for the simulator hot path: runs the static-grid
 # scaling benchmark — link cache on vs off at N ∈ {16, 64, 256, 1024},
 # the sharded event engine at N ∈ {4096, 16384} × shards {1, 4, 8}
-# (sparse spatial-grid rows, occupancy-weighted bands), the threaded
-# mobile variant at 4096 nodes × threads {1, 2, 4}, plus the parallel
-# batch commit (PR 9) on far-apart beacon clusters at N ∈ {4096, 16384}
-# × shards {4, 8} × threads {1, 2, 4} — and writes BENCH_PR9.json at
-# the repo root so future PRs can compare (BENCH_PR2/4/6/7.json are
-# earlier baselines). Every section asserts identical metrics and event
-# counts across its engine rows; the commit section additionally
-# asserts every threaded leg really committed parallel batches.
+# (sparse spatial-grid rows, occupancy-weighted bands) and the threaded
+# mobile variant at 4096 nodes × threads {1, 2, 4} — and writes
+# BENCH_SCALING.json at the repo root so later changes can compare
+# (BENCH_PR2/4/6/7/9.json are earlier baselines). Every section asserts
+# identical metrics and event counts across its engine rows.
 # Extra arguments are passed through (e.g. --secs 60, --seed 7).
 #
 #   ./scripts/bench.sh
@@ -19,5 +16,5 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline -p bench --bin bench_scaling"
 cargo build --release --offline -p bench --bin bench_scaling
 
-echo "==> bench_scaling --out BENCH_PR9.json"
-./target/release/bench_scaling --out BENCH_PR9.json "$@"
+echo "==> bench_scaling --out BENCH_SCALING.json"
+./target/release/bench_scaling --out BENCH_SCALING.json "$@"

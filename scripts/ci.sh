@@ -41,10 +41,14 @@ cargo run --release --offline -p bench --bin bench_scaling -- --smoke
 echo "==> meshsim --shards 4 smoke (sharded engine through the CLI)"
 cargo run -q --release --offline -p meshsim -- --nodes 12 --duration 120 --shards 4 >/dev/null
 
-echo "==> meshsim --shards 4 --threads 2 --rng-streams smoke (parallel batch commit through the CLI)"
-cargo run -q --release --offline -p meshsim -- --nodes 12 --duration 120 --shards 4 --threads 2 --rng-streams >/dev/null
+echo "==> meshsim --shards 4 --threads 2 smoke (evaluate regions on the fork-chain RNG family)"
+cargo run -q --release --offline -p meshsim -- --nodes 12 --duration 120 --shards 4 --threads 2 >/dev/null
 
-echo "==> meshsim --protocol flooding --shards 4 --threads 2 --rng-streams smoke (flooding stack on the parallel engine)"
+echo "==> meshsim --protocol flooding --shards 4 --threads 2 --rng-streams smoke (flooding stack with threaded evaluate regions)"
 cargo run -q --release --offline -p meshsim -- --protocol flooding --nodes 12 --duration 120 --shards 4 --threads 2 --rng-streams >/dev/null
+
+echo "==> perfbench build + tests (the benchmark compiles against this workspace's API)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+python3 -m unittest discover -s perfbench -p 'test_*.py'
 
 echo "ci: all checks passed"

@@ -116,8 +116,6 @@ impl Firmware for Beacon {
 fn assert_steady_state_alloc_free(mut config: SimConfig, shards: usize, threads: usize) {
     config.shards = shards;
     config.threads = threads;
-    // Threaded runs require the per-node stream family (PR 9).
-    config.rng_streams = threads > 1;
     let mut sim = Simulator::new(config, 42);
     // A tight grid, everyone in range of everyone. Beacon phases are
     // spaced 180 ms apart — far wider than a 16-byte frame's airtime —
@@ -176,9 +174,8 @@ fn sharded_steady_state_does_not_allocate() {
 /// allocation count, the event count and the row-rebuild count over a
 /// measured steady-state window.
 fn mobile_window(threads: usize) -> (u64, u64, u64) {
-    // Both legs use the per-node stream family: the threaded leg needs
-    // it (PR 9), and the sequential reference must share it so the two
-    // event streams compare equal.
+    // Both legs use the per-node stream family, so the two event
+    // streams compare equal.
     let config = SimConfig {
         shards: 4,
         threads,

@@ -9,10 +9,8 @@
 //! exist per seed because `SimConfig::rng_streams` selects a different
 //! (but engine-invariant) per-node stream derivation:
 //!
-//! * `fork` — the default fork-chain RNG family, valid for any shard
-//!   count at `threads = 1`;
-//! * `streams` — the counter-keyed per-node stream family, valid for
-//!   every shards × threads combination.
+//! * `fork` — the default fork-chain RNG family;
+//! * `streams` — the counter-keyed per-node stream family.
 //!
 //! Within a family every engine configuration must produce the same
 //! dump; the pinned constant then freezes that dump across refactors.
@@ -247,14 +245,29 @@ fn check(family: &str, seed: u64, actual: u64) {
     );
 }
 
-/// Fork-chain family: shards {1, 4} at threads = 1 must agree with each
-/// other and with the pinned constant.
+/// Hashes `run`'s dump for `seed` over the shards {1, 4} × threads
+/// {1, 2} engine matrix, asserting every configuration agrees with the
+/// sequential single-threaded one, and returns that shared hash.
+fn engine_matrix_hash(seed: u64, run: impl Fn(usize, usize) -> String) -> u64 {
+    let reference = fnv1a(&run(1, 1));
+    for (shards, threads) in [(1usize, 2usize), (4, 1), (4, 2)] {
+        assert_eq!(
+            fnv1a(&run(shards, threads)),
+            reference,
+            "seed {seed}: shards={shards} threads={threads} diverged from the \
+             sequential engine"
+        );
+    }
+    reference
+}
+
+/// Fork-chain family: the full engine matrix must agree and match the
+/// pinned constant.
 #[test]
 fn mesh_fork_family_matches_golden() {
     for seed in [21u64, 22, 23] {
-        let mut hashes = Vec::new();
-        for shards in [1usize, 4] {
-            let mut runner = run_mesh(seed, shards, 1, false);
+        let hash = engine_matrix_hash(seed, |shards, threads| {
+            let mut runner = run_mesh(seed, shards, threads, false);
             let text = dump(&mut runner);
             let report = runner.report();
             assert!(report.delivered > 0, "seed {seed}: nothing delivered");
@@ -262,99 +275,64 @@ fn mesh_fork_family_matches_golden() {
                 !report.reliable_latencies.is_empty(),
                 "seed {seed}: reliable transfer never completed"
             );
-            hashes.push((shards, fnv1a(&text)));
-        }
-        let (_, reference) = hashes[0];
-        for (shards, h) in &hashes {
-            assert_eq!(
-                *h, reference,
-                "seed {seed}: shards={shards} diverged from the sequential engine"
-            );
-        }
-        check("fork", seed, reference);
+            text
+        });
+        check("fork", seed, hash);
     }
 }
 
-/// Stream family: the full shards {1, 4} × threads {1, 2} matrix must
-/// agree and match the pinned constant.
+/// Stream family: the full engine matrix must agree and match the
+/// pinned constant.
 #[test]
 fn mesh_stream_family_matches_golden() {
     for seed in [21u64, 22, 23] {
-        let mut hashes = Vec::new();
-        for shards in [1usize, 4] {
-            for threads in [1usize, 2] {
-                let mut runner = run_mesh(seed, shards, threads, true);
-                let text = dump(&mut runner);
-                assert!(
-                    runner.report().delivered > 0,
-                    "seed {seed}: nothing delivered"
-                );
-                hashes.push((shards, threads, fnv1a(&text)));
-            }
-        }
-        let (_, _, reference) = hashes[0];
-        for (shards, threads, h) in &hashes {
-            assert_eq!(
-                *h, reference,
-                "seed {seed}: shards={shards} threads={threads} diverged"
+        let hash = engine_matrix_hash(seed, |shards, threads| {
+            let mut runner = run_mesh(seed, shards, threads, true);
+            let text = dump(&mut runner);
+            assert!(
+                runner.report().delivered > 0,
+                "seed {seed}: nothing delivered"
             );
-        }
-        check("streams", seed, reference);
+            text
+        });
+        check("streams", seed, hash);
     }
 }
 
-/// Flooding, fork-chain family: shards {1, 4} at threads = 1 must agree
-/// with each other and with the pinned constant — `meshsim --protocol
-/// flooding` is deterministic (same seed → same trace) on the
-/// sequential and sharded engines alike.
+/// Flooding, fork-chain family: the full engine matrix must agree and
+/// match the pinned constant — `meshsim --protocol flooding` is
+/// deterministic (same seed → same trace) on every engine.
 #[test]
 fn flood_fork_family_matches_golden() {
     for seed in [21u64, 22] {
-        let mut hashes = Vec::new();
-        for shards in [1usize, 4] {
-            let mut runner = run_flood(seed, shards, 1, false);
+        let hash = engine_matrix_hash(seed, |shards, threads| {
+            let mut runner = run_flood(seed, shards, threads, false);
             let text = dump_flood(&mut runner);
-            let report = runner.report();
-            assert!(report.delivered > 0, "seed {seed}: nothing delivered");
-            hashes.push((shards, fnv1a(&text)));
-        }
-        let (_, reference) = hashes[0];
-        for (shards, h) in &hashes {
-            assert_eq!(
-                *h, reference,
-                "seed {seed}: flooding shards={shards} diverged from the \
-                 sequential engine"
+            assert!(
+                runner.report().delivered > 0,
+                "seed {seed}: nothing delivered"
             );
-        }
-        check("flood-fork", seed, reference);
+            text
+        });
+        check("flood-fork", seed, hash);
     }
 }
 
-/// Flooding, stream family: the full shards {1, 4} × threads {1, 2}
-/// matrix must agree and match the pinned constant.
+/// Flooding, stream family: the full engine matrix must agree and match
+/// the pinned constant.
 #[test]
 fn flood_stream_family_matches_golden() {
     for seed in [21u64, 22] {
-        let mut hashes = Vec::new();
-        for shards in [1usize, 4] {
-            for threads in [1usize, 2] {
-                let mut runner = run_flood(seed, shards, threads, true);
-                let text = dump_flood(&mut runner);
-                assert!(
-                    runner.report().delivered > 0,
-                    "seed {seed}: nothing delivered"
-                );
-                hashes.push((shards, threads, fnv1a(&text)));
-            }
-        }
-        let (_, _, reference) = hashes[0];
-        for (shards, threads, h) in &hashes {
-            assert_eq!(
-                *h, reference,
-                "seed {seed}: flooding shards={shards} threads={threads} diverged"
+        let hash = engine_matrix_hash(seed, |shards, threads| {
+            let mut runner = run_flood(seed, shards, threads, true);
+            let text = dump_flood(&mut runner);
+            assert!(
+                runner.report().delivered > 0,
+                "seed {seed}: nothing delivered"
             );
-        }
-        check("flood-streams", seed, reference);
+            text
+        });
+        check("flood-streams", seed, hash);
     }
 }
 

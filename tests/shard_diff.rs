@@ -390,72 +390,63 @@ fn run_wide(seed: u64, cfg: SimConfig) -> (Fingerprint, u64) {
     (fingerprint(&s), events)
 }
 
-/// The tentpole invariance, in two halves. The fork-chain RNG family is
-/// inherently sequential (each node's generator is split off a shared
-/// root), so threaded commit refuses it at startup; its battery covers
-/// every shard count at `threads = 1`. The per-node stream family — the
-/// only one the parallel batch commit accepts — gets the full
-/// (shards, threads) matrix, including thread counts beyond the host's
-/// core count, and must reproduce its own sequential single-threaded
-/// run byte for byte.
+/// The tentpole invariance: under both RNG families, every
+/// (shards, threads) pair — including thread counts beyond the host's
+/// core count — must reproduce the family's own sequential
+/// single-threaded run byte for byte.
 #[test]
 fn wide_runs_identical_for_every_shard_and_thread_count() {
-    // Fork family: shard transparency at threads = 1.
-    let (fork_ref, fork_events) = run_wide(11, config_with(1, 1, false));
-    assert!(
-        fork_ref.1.frames_transmitted > 0 && fork_ref.1.frames_delivered > 0,
-        "wide scenario produced no traffic — the test proves nothing"
-    );
-    for &shards in &SHARD_COUNTS[1..] {
-        let (other, events) = run_wide(11, config_with(shards, 1, false));
-        assert_eq!(fork_ref, other, "fork divergence at shards={shards}");
-        assert_eq!(fork_events, events, "fork event drift at shards={shards}");
-    }
-    // Stream family: the full matrix, parallel batch commit included.
-    let (reference, ref_events) = run_wide(11, config_with(1, 1, true));
-    assert!(
-        reference.1.frames_transmitted > 0 && reference.1.frames_delivered > 0,
-        "stream scenario produced no traffic — the test proves nothing"
-    );
-    for &shards in &SHARD_COUNTS {
-        for &threads in &THREAD_COUNTS {
-            if (shards, threads) == (1, 1) {
-                continue;
+    for rng_streams in [false, true] {
+        let (reference, ref_events) = run_wide(11, config_with(1, 1, rng_streams));
+        assert!(
+            reference.1.frames_transmitted > 0 && reference.1.frames_delivered > 0,
+            "wide scenario produced no traffic — the test proves nothing"
+        );
+        for &shards in &SHARD_COUNTS {
+            for &threads in &THREAD_COUNTS {
+                if (shards, threads) == (1, 1) {
+                    continue;
+                }
+                let (other, events) = run_wide(11, config_with(shards, threads, rng_streams));
+                assert_eq!(
+                    reference, other,
+                    "divergence at shards={shards}, threads={threads}, rng_streams={rng_streams}"
+                );
+                assert_eq!(
+                    ref_events, events,
+                    "event count drift at shards={shards}, threads={threads}, \
+                     rng_streams={rng_streams}"
+                );
             }
-            let (other, events) = run_wide(11, config_with(shards, threads, true));
-            assert_eq!(
-                reference, other,
-                "divergence at shards={shards}, threads={threads}"
-            );
-            assert_eq!(
-                ref_events, events,
-                "event count drift at shards={shards}, threads={threads}"
-            );
         }
     }
 }
 
 /// Thread counts must also be invisible on scenarios *below* the
 /// parallel thresholds (the gates themselves must not change
-/// behaviour), with and without sharding. Stream family throughout:
-/// threaded runs accept nothing else.
+/// behaviour), with and without sharding, under both RNG families.
 #[test]
 fn small_runs_identical_for_every_thread_count() {
-    for seed in [1u64, 5] {
-        let (st_ref, _) = run_static_cfg(seed, config_with(1, 1, true));
-        let (mo_ref, _) = run_mobile_cfg(seed, config_with(1, 1, true));
-        for &threads in &THREAD_COUNTS[1..] {
-            for shards in [1usize, 4] {
-                let (st, _) = run_static_cfg(seed, config_with(shards, threads, true));
-                assert_eq!(
-                    st_ref, st,
-                    "static divergence at seed {seed}, shards={shards}, threads={threads}"
-                );
-                let (mo, _) = run_mobile_cfg(seed, config_with(shards, threads, true));
-                assert_eq!(
-                    mo_ref, mo,
-                    "mobile divergence at seed {seed}, shards={shards}, threads={threads}"
-                );
+    for rng_streams in [false, true] {
+        for seed in [1u64, 5] {
+            let (st_ref, _) = run_static_cfg(seed, config_with(1, 1, rng_streams));
+            let (mo_ref, _) = run_mobile_cfg(seed, config_with(1, 1, rng_streams));
+            for &threads in &THREAD_COUNTS[1..] {
+                for shards in [1usize, 4] {
+                    let cfg = config_with(shards, threads, rng_streams);
+                    let (st, _) = run_static_cfg(seed, cfg.clone());
+                    assert_eq!(
+                        st_ref, st,
+                        "static divergence at seed {seed}, shards={shards}, \
+                         threads={threads}, rng_streams={rng_streams}"
+                    );
+                    let (mo, _) = run_mobile_cfg(seed, cfg);
+                    assert_eq!(
+                        mo_ref, mo,
+                        "mobile divergence at seed {seed}, shards={shards}, \
+                         threads={threads}, rng_streams={rng_streams}"
+                    );
+                }
             }
         }
     }

@@ -27,9 +27,8 @@ fn opts_threaded(seeds: usize, jobs: usize, shards: usize, threads: usize) -> Ex
     ExpOptions {
         threads,
         // Every leg — including the threads=1 reference — uses the
-        // per-node stream family: threads > 1 requires it (PR 9), and
-        // the family must match across legs for the tables to compare
-        // byte-identical.
+        // per-node stream family, so the family matches across legs
+        // and the tables compare byte-identical.
         rng_streams: true,
         ..opts_sharded(seeds, jobs, shards)
     }
