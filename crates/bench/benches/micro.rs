@@ -226,18 +226,14 @@ fn bench_queue(filter: &str) {
     });
 }
 
-fn bench_link_cache(filter: &str) {
-    // The same PHY-only beacon workload with the link cache on and off:
-    // the gap is what the cache + audible-neighbor culling buys on the
-    // start_tx / lock_receiver hot path.
-    bench(filter, "simulator/beacon_grid64_10s_cached", || {
-        bench::scaling::run(64, true, 1, 10, 42).1
-    });
-    bench(filter, "simulator/beacon_grid64_10s_uncached", || {
-        bench::scaling::run(64, false, 1, 10, 42).1
+fn bench_beacon_grid(filter: &str) {
+    // The PHY-only beacon workload on the start_tx / lock_receiver hot
+    // path, sequential and sharded.
+    bench(filter, "simulator/beacon_grid64_10s", || {
+        bench::scaling::run(64, 1, 10, 42).1
     });
     bench(filter, "simulator/beacon_grid64_10s_sharded4", || {
-        bench::scaling::run(64, true, 4, 10, 42).1
+        bench::scaling::run(64, 4, 10, 42).1
     });
 }
 
@@ -255,5 +251,5 @@ fn main() {
     bench_simulator(&filter);
     bench_medium(&filter);
     bench_queue(&filter);
-    bench_link_cache(&filter);
+    bench_beacon_grid(&filter);
 }

@@ -1,8 +1,9 @@
 //! Scaling benchmark for the simulator hot path, three sections:
 //!
-//! 1. **Link cache** — the static-grid beacon scenario at
-//!    N ∈ {16, 64, 256, 1024}, link cache on vs off (the PR 2/PR 4
-//!    trajectory), asserting identical metrics.
+//! 1. **Static grid** — the static-grid beacon scenario at
+//!    N ∈ {16, 64, 256, 1024} on the sequential engine (the uncached
+//!    column of the PR 2/PR 4 trajectory stays in
+//!    `BENCH_PR2/4/6/7/9.json`).
 //! 2. **Sharded engine** — the same scenario at large N
 //!    (4096 and 16384 nodes) with the event engine running sequentially
 //!    (`shards = 1`) vs spatially sharded (4 and 8 bands), asserting
@@ -31,8 +32,7 @@ use bench::scaling;
 use radio_sim::metrics::Metrics;
 use radio_sim::SimConfig;
 
-/// Wall-clock timings and outcome of one (n, link_cache, shards)
-/// measurement.
+/// Wall-clock timings and outcome of one measurement.
 struct Measurement {
     metrics: Metrics,
     events: u64,
@@ -42,31 +42,6 @@ struct Measurement {
 /// Runs one configuration `repeats` times and keeps the fastest wall
 /// time (the usual bench practice: minimum is the least noisy estimator
 /// of the true cost).
-fn measure(
-    n: usize,
-    link_cache: bool,
-    shards: usize,
-    sim_secs: u64,
-    seed: u64,
-    repeats: usize,
-) -> Measurement {
-    let mut best: Option<Measurement> = None;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        let (metrics, events) = scaling::run(n, link_cache, shards, sim_secs, seed);
-        let wall = start.elapsed();
-        if best.as_ref().is_none_or(|b| wall < b.wall) {
-            best = Some(Measurement {
-                metrics,
-                events,
-                wall,
-            });
-        }
-    }
-    best.expect("at least one repeat")
-}
-
-/// [`measure`] over a caller-shaped config and topology choice.
 fn measure_cfg(
     n: usize,
     cfg: &SimConfig,
@@ -102,11 +77,8 @@ fn per_event_ns(m: &Measurement) -> f64 {
 struct Row {
     nodes: usize,
     events: u64,
-    cached_events_per_sec: f64,
-    cached_ns_per_event: f64,
-    uncached_events_per_sec: f64,
-    uncached_ns_per_event: f64,
-    speedup: f64,
+    events_per_sec: f64,
+    ns_per_event: f64,
 }
 
 /// One shard count's timing at a fixed node count.
@@ -159,16 +131,8 @@ fn json_report(
         let _ = write!(
             s,
             "    {{\"nodes\": {}, \"events\": {}, \
-             \"cached_events_per_sec\": {:.0}, \"cached_ns_per_event\": {:.1}, \
-             \"uncached_events_per_sec\": {:.0}, \"uncached_ns_per_event\": {:.1}, \
-             \"speedup\": {:.2}}}",
-            r.nodes,
-            r.events,
-            r.cached_events_per_sec,
-            r.cached_ns_per_event,
-            r.uncached_events_per_sec,
-            r.uncached_ns_per_event,
-            r.speedup
+             \"events_per_sec\": {:.0}, \"ns_per_event\": {:.1}}}",
+            r.nodes, r.events, r.events_per_sec, r.ns_per_event
         );
         s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
@@ -263,43 +227,27 @@ fn main() {
 
     println!("static-grid beacon scenario, {sim_secs} simulated seconds, seed {seed}");
     println!(
-        "{:>6} {:>10} {:>14} {:>13} {:>14} {:>13} {:>8}",
-        "nodes", "events", "cached ev/s", "cached ns/ev", "uncached ev/s", "unc. ns/ev", "speedup"
+        "{:>6} {:>10} {:>12} {:>10}",
+        "nodes", "events", "events/s", "ns/event"
     );
     let mut rows = Vec::new();
     for &n in sizes {
-        let uncached = measure(n, false, 1, sim_secs, seed, repeats);
-        let cached = measure(n, true, 1, sim_secs, seed, repeats);
-        // The cache must be behaviourally transparent — a differing run
-        // would make every speedup number meaningless.
-        assert_eq!(
-            cached.metrics, uncached.metrics,
-            "link cache changed behaviour at n={n}"
-        );
-        assert_eq!(cached.events, uncached.events);
+        let m = measure_cfg(n, &SimConfig::default(), false, sim_secs, seed, repeats);
+        assert!(m.metrics.frames_delivered > 0, "no beacons heard at n={n}");
         let row = Row {
             nodes: n,
-            events: cached.events,
-            cached_events_per_sec: per_sec(&cached),
-            cached_ns_per_event: per_event_ns(&cached),
-            uncached_events_per_sec: per_sec(&uncached),
-            uncached_ns_per_event: per_event_ns(&uncached),
-            speedup: uncached.wall.as_secs_f64() / cached.wall.as_secs_f64(),
+            events: m.events,
+            events_per_sec: per_sec(&m),
+            ns_per_event: per_event_ns(&m),
         };
         println!(
-            "{:>6} {:>10} {:>14.0} {:>13.1} {:>14.0} {:>13.1} {:>7.2}x",
-            row.nodes,
-            row.events,
-            row.cached_events_per_sec,
-            row.cached_ns_per_event,
-            row.uncached_events_per_sec,
-            row.uncached_ns_per_event,
-            row.speedup
+            "{:>6} {:>10} {:>12.0} {:>10.1}",
+            row.nodes, row.events, row.events_per_sec, row.ns_per_event
         );
         rows.push(row);
     }
 
-    // Sharded engine at scale: big grids, link cache on, one repeat
+    // Sharded engine at scale: big grids, one repeat
     // (the runs are long enough to be self-averaging). The 16384-node
     // grid keeps a shorter horizon so the sequential reference leg
     // stays affordable.
@@ -319,7 +267,11 @@ fn main() {
         let mut cells = Vec::new();
         let mut reference: Option<Measurement> = None;
         for &shards in shard_counts {
-            let m = measure(n, true, shards, secs, seed, 1);
+            let cfg = SimConfig {
+                shards,
+                ..SimConfig::default()
+            };
+            let m = measure_cfg(n, &cfg, false, secs, seed, 1);
             if let Some(seq) = &reference {
                 // The sharded engine must replay the sequential
                 // timeline event for event.

@@ -9,7 +9,7 @@
 //! interference seeding.
 //!
 //! Shared by `src/bin/bench_scaling.rs` (the `BENCH_PR4.json` scaling
-//! run) and `benches/micro.rs` (cached-vs-uncached hot-path benches).
+//! run), `benches/micro.rs` (hot-path benches) and perfbench.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -73,17 +73,16 @@ impl Firmware for Beacon {
 /// larger values run the PR 6 sharded engine (behaviourally
 /// transparent, asserted by the benchmark harness).
 #[must_use]
-pub fn build(n: usize, link_cache: bool, shards: usize, seed: u64) -> Simulator<Beacon> {
+pub fn build(n: usize, shards: usize, seed: u64) -> Simulator<Beacon> {
     let cfg = SimConfig {
-        link_cache,
         shards,
         ..SimConfig::default()
     };
     build_cfg(n, cfg, seed)
 }
 
-/// [`build`] with a caller-shaped [`SimConfig`] (threads, spatial grid,
-/// RNG streams, …).
+/// [`build`] with a caller-shaped [`SimConfig`] (threads, RNG streams,
+/// …).
 #[must_use]
 pub fn build_cfg(n: usize, cfg: SimConfig, seed: u64) -> Simulator<Beacon> {
     let spacing = topology::radio_range_m(&cfg.rf) * 0.8;
@@ -172,8 +171,8 @@ pub fn run_clusters(
 /// Runs the scenario for `sim_secs` simulated seconds and returns the
 /// final PHY metrics plus the number of events processed.
 #[must_use]
-pub fn run(n: usize, link_cache: bool, shards: usize, sim_secs: u64, seed: u64) -> (Metrics, u64) {
-    finish(build(n, link_cache, shards, seed), sim_secs)
+pub fn run(n: usize, shards: usize, sim_secs: u64, seed: u64) -> (Metrics, u64) {
+    finish(build(n, shards, seed), sim_secs)
 }
 
 /// [`run`] over a caller-shaped config, static or mobile topology.
@@ -201,21 +200,27 @@ fn finish(mut sim: Simulator<Beacon>, sim_secs: u64) -> (Metrics, u64) {
 mod tests {
     use super::*;
 
+    /// The beacon grid still reproduces the metrics and event count
+    /// the retired uncached path (`SimConfig::link_cache = false`)
+    /// produced: FNV-1a of their `Debug` rendering, captured from that
+    /// path before it was deleted.
     #[test]
-    fn cached_and_uncached_runs_agree() {
-        let (cached, ev_c) = run(16, true, 1, 15, 42);
-        let (uncached, ev_u) = run(16, false, 1, 15, 42);
-        assert_eq!(cached, uncached);
-        assert_eq!(ev_c, ev_u);
-        assert!(cached.frames_transmitted > 0, "scenario must generate load");
-        assert!(cached.frames_delivered > 0, "neighbors must hear beacons");
+    fn run_matches_retired_uncached_pin() {
+        let (metrics, events) = run(16, 1, 15, 42);
+        assert!(
+            metrics.frames_transmitted > 0,
+            "scenario must generate load"
+        );
+        assert!(metrics.frames_delivered > 0, "neighbors must hear beacons");
+        let text = format!("{:?}", (&metrics, events));
+        assert_eq!(testkit::fnv1a(text.as_bytes()), 0x9401_a896_54c5_719f);
     }
 
     #[test]
     fn sequential_and_sharded_runs_agree() {
-        let (seq, ev_s) = run(25, true, 1, 15, 42);
+        let (seq, ev_s) = run(25, 1, 15, 42);
         for shards in [2, 4, 8] {
-            let (sharded, ev) = run(25, true, shards, 15, 42);
+            let (sharded, ev) = run(25, shards, 15, 42);
             assert_eq!(seq, sharded, "{shards} shards changed behaviour");
             assert_eq!(ev_s, ev, "{shards} shards changed the event count");
         }

@@ -101,9 +101,6 @@ pub struct Cli {
     pub sf: SpreadingFactor,
     /// Probabilistic reception near the SNR floor.
     pub grey_zone: bool,
-    /// Per-topology-epoch link-budget caching in the simulator (on by
-    /// default; `--no-link-cache` forces the reference path).
-    pub link_cache: bool,
     /// Enforce the EU868 1 % duty cycle.
     pub eu868: bool,
     /// Scheduled failures: `(node, at)`.
@@ -135,7 +132,6 @@ impl Default for Cli {
             rng_streams: false,
             sf: SpreadingFactor::Sf7,
             grey_zone: false,
-            link_cache: true,
             eu868: false,
             kills: Vec::new(),
             revives: Vec::new(),
@@ -182,7 +178,6 @@ OPTIONS:
                                           streams (another trajectory)
   --sf 7..12                              spreading factor     [7]
   --grey-zone                             probabilistic reception
-  --no-link-cache                         disable link-budget caching
   --eu868                                 enforce the 1 % duty cycle
   --kill NODE@SECS                        fail a node (repeatable)
   --revive NODE@SECS                      recover a node (repeatable)
@@ -328,7 +323,6 @@ impl Cli {
                 }
                 "--rng-streams" => cli.rng_streams = true,
                 "--grey-zone" => cli.grey_zone = true,
-                "--no-link-cache" => cli.link_cache = false,
                 "--eu868" => cli.eu868 = true,
                 "--per-node" => cli.per_node = true,
                 "--snr-tiebreak" => cli.snr_tiebreak = true,
@@ -411,6 +405,13 @@ impl Cli {
                 check(to, "--traffic receiver")?;
                 if bytes == 0 {
                     return Err(ParseError("bulk size must be positive".into()));
+                }
+                if self.protocol != Protocol::Mesh {
+                    return Err(ParseError(
+                        "--traffic bulk needs --protocol loramesher: \
+                         reliable transfer is a mesh-only service"
+                            .into(),
+                    ));
                 }
             }
             Traffic::AllToOne { interval_secs } => {
@@ -567,9 +568,31 @@ mod tests {
     }
 
     #[test]
-    fn link_cache_flag() {
-        assert!(parse(&[]).unwrap().link_cache, "cache on by default");
-        assert!(!parse(&["--no-link-cache"]).unwrap().link_cache);
+    fn bulk_traffic_needs_the_mesh_stack() {
+        for stack in ["flooding", "star"] {
+            let err = parse(&[
+                "--protocol",
+                stack,
+                "--nodes",
+                "3",
+                "--traffic",
+                "bulk:0:2:100",
+            ])
+            .unwrap_err();
+            assert!(
+                err.0.contains("--traffic bulk needs --protocol loramesher"),
+                "{stack}: {err}"
+            );
+        }
+        let mesh = [
+            "--protocol",
+            "mesh",
+            "--nodes",
+            "3",
+            "--traffic",
+            "bulk:0:2:100",
+        ];
+        assert!(parse(&mesh).is_ok());
     }
 
     #[test]

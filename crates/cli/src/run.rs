@@ -127,7 +127,6 @@ fn run_scenario(cli: &Cli, seed: u64) -> (String, TrafficReport) {
     let mut sim = SimConfig::default();
     sim.rf.modulation = LoRaModulation::new(cli.sf, Bandwidth::Khz125, CodingRate::Cr4_7);
     sim.rf.grey_zone = cli.grey_zone;
-    sim.link_cache = cli.link_cache;
     sim.shards = cli.shards;
     sim.threads = cli.threads;
     sim.rng_streams = cli.rng_streams;

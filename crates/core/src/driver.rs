@@ -92,6 +92,32 @@ impl RadioIo {
 ///
 /// All callbacks have empty defaults except [`NodeProtocol::on_frame`]
 /// and [`NodeProtocol::next_wake`], which every useful protocol needs.
+///
+/// # The substrate contract
+///
+/// A stack — LoRaMesher's [`crate::MeshNode`], managed flooding's
+/// [`crate::FloodNode`], the star baseline — chooses its routing daemon
+/// (or none), forwarding policy, transport and application codec
+/// freely. What it may NOT vary are the properties the simulator's
+/// determinism goldens (`tests/protocol_refactor_diff.rs`,
+/// `tests/engine_golden.rs`) rest on:
+///
+/// 1. **Shared channel access.** All frame emission goes through the
+///    one MAC, `stack::mac::MacLayer` — CAD/backoff/duty-cycle behaviour
+///    is identical across protocols, so cross-protocol experiments
+///    measure protocol overhead, not MAC drift.
+/// 2. **One RNG per node.** Every random draw comes from the node's
+///    single [`crate::rng::ProtocolRng`] (owned by the bus), in an
+///    order fixed by the dispatch rules below — a seed fully determines
+///    a node's behaviour.
+/// 3. **Frozen dispatch order.** Each stack documents a fixed
+///    `process_due` order (see the [`crate::stack`] and [`crate::flood`]
+///    module docs) and dispatches host callbacks the same way every
+///    time. No ambient time, no ambient randomness (meshlint rule D2),
+///    no iteration over hashed collections (rule D1).
+/// 4. **Panic-free on hostile input.** `on_frame` consumes
+///    over-the-air bytes; decode failures are counted, never unwrapped
+///    (rule R1).
 pub trait NodeProtocol {
     /// Called once when the node boots.
     fn on_start(&mut self, io: &mut RadioIo) {

@@ -7,12 +7,12 @@
 //! packet is a broadcast, and (b) schedules a rebroadcast with the hop
 //! limit decremented, after a randomised delay that decorrelates
 //! simultaneous relays. Duplicate suppression uses the bounded
-//! `(origin, id)` [`dedup::DedupCache`].
+//! `(origin, id)` dedup cache (`dedup::DedupCache`).
 //!
 //! The stack reuses the shared LoRaMesher plumbing wholesale — the
-//! [`crate::stack::bus::Bus`] (one deterministic RNG per node, the
+//! intra-node bus `stack::bus::Bus` (one deterministic RNG per node, the
 //! transmit queue, the [`MeshEvent`] queue, the stats counters) and the
-//! [`crate::stack::mac::MacLayer`] (CAD/backoff/duty-cycle channel
+//! MAC `stack::mac::MacLayer` (CAD/backoff/duty-cycle channel
 //! access) — so the two protocols differ *only* above the MAC, and
 //! airtime comparisons between them measure protocol overhead, not
 //! implementation drift. The wire format reuses the LoRaMesher `Data`
@@ -50,7 +50,7 @@
 //! With the `crypto` feature enabled and a key configured, application
 //! payloads are AES-128-CTR encrypted end to end: the originator
 //! encrypts, relays forward the ciphertext verbatim, and only nodes
-//! holding the channel key decrypt on delivery (see [`crypto`]).
+//! holding the channel key decrypt on delivery (see the `crypto` module).
 
 pub(crate) mod dedup;
 pub mod message;

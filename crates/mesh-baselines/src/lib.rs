@@ -12,8 +12,8 @@
 //!   unreachable.
 //!
 //! The managed-flooding baseline that used to live here graduated into
-//! a first-class stack: see [`loramesher::flood`] and the
-//! [`loramesher::protocol::Protocol`] abstraction.
+//! a first-class stack: see [`loramesher::flood`]. Every stack keeps the
+//! substrate contract documented on [`loramesher::driver::NodeProtocol`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -344,12 +344,12 @@ impl Config {
                 "crates/radio-sim/src/event.rs".into(),
                 "crates/radio-sim/src/shard.rs".into(),
                 // Protocol stacks never mint engine seqs themselves —
-                // the substrate contract (`loramesher::protocol`) says
-                // timers and transmissions go through the bus/MAC. If a
-                // protocol module ever grows a direct event-insertion
-                // call, its seq must still be coordinator-issued.
+                // the substrate contract (`loramesher::driver::
+                // NodeProtocol`) says timers and transmissions go
+                // through the bus/MAC. If a protocol module ever grows a
+                // direct event-insertion call, its seq must still be
+                // coordinator-issued.
                 "crates/core/src/flood/mod.rs".into(),
-                "crates/core/src/protocol.rs".into(),
             ],
         }
     }

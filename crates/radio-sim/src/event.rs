@@ -7,7 +7,7 @@
 //! # Calendar queue
 //!
 //! The queue is a two-level bucketed calendar queue. Near-future events
-//! live in a ring of [`NUM_BUCKETS`] fixed-width time buckets (each
+//! live in a ring of `NUM_BUCKETS` fixed-width time buckets (each
 //! `2^BUCKET_SHIFT` nanoseconds wide); far-future events wait in an
 //! overflow heap and migrate into the ring bucket-by-bucket as the
 //! cursor reaches them. Each bucket is a small binary heap ordered by
@@ -286,15 +286,6 @@ impl EventQueue {
         self.timer_gen.get(node.0).copied().unwrap_or(0) == gen
     }
 
-    /// The node's current timer generation — the stamp a
-    /// [`SimEvent::Timer`] must carry to fire rather than be dropped as
-    /// a tombstone.
-    #[must_use]
-    pub fn timer_generation(&mut self, node: NodeId) -> u64 {
-        self.ensure_node(node);
-        self.timer_gen.get(node.0).copied().unwrap_or(0)
-    }
-
     /// Invalidates every queued timer for `node` by bumping its
     /// generation; the orphaned entries become tombstones.
     fn invalidate(&mut self, node: NodeId) {
@@ -554,7 +545,7 @@ mod tests {
     }
 
     #[test]
-    fn rescheduling_a_timer_tombstones_the_old_one() {
+    fn rescheduling_a_timer_buries_the_old_one() {
         let mut q = EventQueue::new();
         q.schedule_timer(SimTime::from_millis(10), node(0));
         q.schedule_timer(SimTime::from_millis(20), node(0));
@@ -570,7 +561,7 @@ mod tests {
     }
 
     #[test]
-    fn cancel_timer_tombstones_without_rescheduling() {
+    fn cancel_timer_buries_without_rescheduling() {
         let mut q = EventQueue::new();
         q.schedule_timer(SimTime::from_millis(10), node(0));
         q.schedule(SimTime::from_millis(30), SimEvent::MobilityTick);
@@ -583,25 +574,11 @@ mod tests {
     }
 
     #[test]
-    fn raw_schedule_with_current_generation_stays_live() {
-        // Legacy-engine mode stamps timers with the current generation
-        // and never invalidates: multiple timers per node all fire.
-        let mut q = EventQueue::new();
-        let gen = q.timer_generation(node(7));
-        q.schedule(SimTime::from_millis(1), SimEvent::Timer(node(7), gen));
-        q.schedule(SimTime::from_millis(2), SimEvent::Timer(node(7), gen));
-        assert_eq!(q.live_len(), 2);
-        assert!(q.pop().is_some());
-        assert!(q.pop().is_some());
-        assert_eq!(q.stale_timers_dropped(), 0);
-    }
-
-    #[test]
     fn raw_schedule_with_stale_generation_is_a_tombstone() {
         let mut q = EventQueue::new();
-        let gen = q.timer_generation(node(0));
+        // Generations start at 0; cancelling bumps node 0's to 1.
         q.cancel_timer(node(0));
-        q.schedule(SimTime::from_millis(1), SimEvent::Timer(node(0), gen));
+        q.schedule(SimTime::from_millis(1), SimEvent::Timer(node(0), 0));
         assert_eq!(q.len(), 1);
         assert_eq!(q.live_len(), 0);
         assert_eq!(q.pop(), None);

@@ -37,7 +37,10 @@
 //! * [`firmware`] — the [`Firmware`] trait protocol implementations adapt to.
 //! * [`topology`] — node placement generators.
 //! * [`mobility`] — optional node movement models.
-//! * [`sim`] — the [`Simulator`] tying it all together.
+//! * [`sim`] — the [`Simulator`] tying it all together. [`SimConfig`]
+//!   has three engine knobs — `shards`, `threads` and `rng_streams` —
+//!   and each leaves a run's observables byte-identical; the link cache,
+//!   the grid and timer tombstones are always on.
 //! * [`metrics`] — PHY-level counters collected during a run.
 //! * [`trace`] — a bounded structured event trace for debugging.
 //!

@@ -2,9 +2,9 @@
 //!
 //! Path-loss and shadowing math is deterministic in the endpoint
 //! positions, so between position changes every `(a, b)` pair has a
-//! fixed received power. The uncached simulator nevertheless recomputes
-//! it (two `log10` calls and a `powf`) for every pair on every frame —
-//! the dominant cost of large simulations. [`LinkCache`] computes each
+//! fixed received power. Recomputing it (two `log10` calls and a
+//! `powf`) for every pair on every frame was the dominant cost of large
+//! simulations. [`LinkCache`] computes each
 //! link budget **once per topology epoch**:
 //!
 //! * Rows are filled lazily: the first transmission from node `i` in an
@@ -18,8 +18,7 @@
 //!
 //! Rows are **sparse**: a row holds links only for the *candidate set*
 //! it was filled with — the 3×3-cell neighborhood from
-//! [`crate::grid::Grid`] when the spatial grid is on, or every node when
-//! it is off. A node absent from the candidate set is farther than
+//! [`crate::grid::Grid`]. A node absent from the candidate set is farther than
 //! `max_audible_range`, so [`LinkRow::get`] answers [`Link::silent`] for
 //! it: the audibility flag matches what a fresh computation would
 //! conclude, and sub-sensitivity powers are never read (interference
@@ -28,9 +27,9 @@
 //! and the O(n²) memory of dense rows.
 //!
 //! The cache holds *values*, never decisions: the simulator invalidates
-//! it wholesale on every mobility tick, node addition and explicit
-//! position change, which keeps cached and uncached runs byte-identical
-//! (see `tests/link_cache_diff.rs`).
+//! it on every mobility tick, node addition and explicit position
+//! change, which keeps runs byte-identical to the uncached engine it
+//! replaced (whose fingerprints `tests/engine_golden.rs` pins).
 
 use lora_phy::power::Dbm;
 
@@ -61,7 +60,7 @@ impl Link {
 #[derive(Clone, Debug)]
 pub struct LinkRow {
     /// Sorted node indices this row holds links for: the candidate set
-    /// at fill time (every node when the spatial grid is off).
+    /// at fill time.
     cand: Vec<usize>,
     /// Link budgets parallel to `cand`.
     links: Vec<Link>,

@@ -280,22 +280,6 @@ impl Medium {
         self.active.iter()
     }
 
-    /// Whether any in-flight transmission (other than `except`) is audible
-    /// at `pos` — the CAD predicate.
-    #[must_use]
-    pub fn channel_busy_at(
-        &self,
-        pos: &Position,
-        listener: NodeId,
-        except: Option<NodeId>,
-    ) -> bool {
-        self.active.iter().any(|tx| {
-            Some(tx.sender) != except
-                && tx.sender != listener
-                && self.audible(self.received_power(&tx.origin, pos, tx.sender, listener))
-        })
-    }
-
     /// Whether the preamble of `tx` is still being transmitted at `now`
     /// (the window during which a stronger frame may steal the lock).
     #[must_use]
@@ -386,18 +370,6 @@ mod tests {
         let ab = m.received_power(&pos(0.0), &pos(500.0), NodeId(0), NodeId(1));
         let ba = m.received_power(&pos(500.0), &pos(0.0), NodeId(1), NodeId(0));
         assert_eq!(ab, ba);
-    }
-
-    #[test]
-    fn channel_busy_sees_only_audible_senders() {
-        let mut m = medium();
-        let _ = m.begin_tx(NodeId(0), pos(0.0), SimTime::ZERO, vec![0; 10]);
-        assert!(m.channel_busy_at(&pos(100.0), NodeId(1), None));
-        assert!(!m.channel_busy_at(&pos(80_000.0), NodeId(2), None));
-        // The sender itself does not hear its own frame as "busy".
-        assert!(!m.channel_busy_at(&pos(0.0), NodeId(0), None));
-        // Excluding the sender silences it for others too.
-        assert!(!m.channel_busy_at(&pos(100.0), NodeId(1), Some(NodeId(0))));
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! this window to drain one shard's queue in batches without consulting
 //! the others (see `sim.rs`).
 //!
-//! Band edges are chosen once — quantiles of the node x-coordinates at
-//! `start()` — and never move, so `band_of` is a pure function for the
-//! whole run and both engines agree on it forever.
+//! Band edges are chosen once — weight quantiles of the node
+//! x-coordinates at `start()` — and never move, so `band_of` is a pure
+//! function for the whole run and both engines agree on it forever.
 
 use std::time::Duration;
 
@@ -84,7 +84,7 @@ pub fn min_lookahead(config: &RfConfig) -> Duration {
 
 /// Fixed partition of the x-axis into contiguous bands.
 ///
-/// `shards` bands are separated by `shards − 1` edges placed at
+/// `shards` bands are separated by `shards − 1` edges placed at weight
 /// quantiles of the initial node x-coordinates — snapped to the widest
 /// nearby inter-node gap — so load balances even for clustered
 /// topologies and distant clusters land in distinct bands. Edges never
@@ -157,37 +157,24 @@ fn gap_snapped_edges(sorted: &[f64], cuts: &[usize], window: usize) -> Vec<f64> 
 }
 
 impl Partitioner {
-    /// Builds a partition of `shards` bands from the given node
-    /// x-coordinates. With no nodes (or `shards <= 1`) the partition
-    /// degenerates to a single band, which is always sound. Cuts start
-    /// at count quantiles and snap to the widest nearby inter-node gap
-    /// (see [`gap_snapped_edges`]).
-    #[must_use]
-    pub fn new(xs: &[f64], shards: usize, r_max: f64) -> Self {
-        let mut edges = Vec::new();
-        if shards > 1 && !xs.is_empty() {
-            let mut sorted = xs.to_vec();
-            sorted.sort_by(f64::total_cmp);
-            let cuts: Vec<usize> = (1..shards).map(|k| k * sorted.len() / shards).collect();
-            edges = gap_snapped_edges(&sorted, &cuts, gap_window(sorted.len(), shards));
-        }
-        Partitioner { edges, r_max }
-    }
-
     /// Builds an **occupancy-weighted** partition: edges split the
-    /// x-axis into `shards` bands of near-equal *summed weight* instead
-    /// of equal node count. With the audible-degree weights from
-    /// [`crate::grid::Grid`], a band's weight tracks the event-dispatch
-    /// work it will actually see (fan-out, interferer seeding and row
-    /// fills all scale with local density), so clustered topologies no
-    /// longer starve some workers while drowning others — the cause of
-    /// the 16384-node shards=8 regression the count-quantile split had.
+    /// x-axis into `shards` bands of near-equal *summed weight*. With the
+    /// audible-degree weights from [`crate::grid::Grid`], a band's weight
+    /// tracks the event-dispatch work it will actually see (fan-out,
+    /// interferer seeding and row fills all scale with local density),
+    /// so clustered topologies do not starve some workers while
+    /// drowning others — the cause of the 16384-node shards=8 regression
+    /// a plain count-quantile split had. With no nodes (or
+    /// `shards <= 1`) the partition degenerates to a single band, which
+    /// is always sound. Cuts snap to the widest nearby inter-node gap
+    /// (see `gap_snapped_edges`).
     ///
     /// Edge placement only changes *which queue hosts whose events*,
     /// never the merged `(time, seq)` order, so any weighting is
     /// behaviourally transparent (tests/shard_diff.rs runs on this).
     /// `weights` is indexed like `xs`; missing or zero weights count
-    /// as 1 so every node retains nonzero mass.
+    /// as 1 so every node retains nonzero mass (`&[]` weighs every node
+    /// equally).
     #[must_use]
     pub fn weighted(xs: &[f64], weights: &[usize], shards: usize, r_max: f64) -> Self {
         let mut edges = Vec::new();
@@ -328,18 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn quantile_edges_balance_a_uniform_line() {
-        let xs: Vec<f64> = (0..100).map(f64::from).collect();
-        let p = Partitioner::new(&xs, 4, 5.0);
-        assert_eq!(p.bands(), 4);
-        let mut counts = [0usize; 4];
-        for &x in &xs {
-            counts[p.band_of(x)] += 1;
-        }
-        assert_eq!(counts, [25, 25, 25, 25]);
-    }
-
-    #[test]
     fn weighted_edges_balance_summed_weight_not_node_count() {
         // A dense cluster of 80 heavy nodes and a sparse tail of 20
         // light ones. Count quantiles put 3 of 4 edges inside the
@@ -399,7 +374,7 @@ mod tests {
 
     #[test]
     fn band_of_is_monotone_and_total() {
-        let p = Partitioner::new(&[0.0, 10.0, 20.0, 30.0], 4, 1.0);
+        let p = Partitioner::weighted(&[0.0, 10.0, 20.0, 30.0], &[], 4, 1.0);
         let mut last = 0;
         for x in [-1.0e9, -5.0, 3.0, 11.0, 29.0, 1.0e9] {
             let b = p.band_of(x);
@@ -412,7 +387,7 @@ mod tests {
     #[test]
     fn reach_covers_every_band_within_r_max() {
         let xs: Vec<f64> = (0..64).map(|i| f64::from(i) * 10.0).collect();
-        let p = Partitioner::new(&xs, 8, 35.0);
+        let p = Partitioner::weighted(&xs, &[], 8, 35.0);
         for &x in &xs {
             let (lo, hi) = p.reach(x);
             assert!(lo <= p.band_of(x) && p.band_of(x) <= hi);
@@ -431,7 +406,7 @@ mod tests {
     #[test]
     fn interior_nodes_cannot_reach_other_bands() {
         let xs: Vec<f64> = (0..64).map(|i| f64::from(i) * 10.0).collect();
-        let p = Partitioner::new(&xs, 4, 15.0);
+        let p = Partitioner::weighted(&xs, &[], 4, 15.0);
         let interior: Vec<f64> = xs.iter().copied().filter(|&x| p.is_interior(x)).collect();
         assert!(!interior.is_empty(), "some nodes must be interior");
         for &x in &interior {
@@ -441,8 +416,8 @@ mod tests {
 
     #[test]
     fn degenerate_partitions_are_single_band() {
-        assert_eq!(Partitioner::new(&[], 8, 10.0).bands(), 1);
-        assert_eq!(Partitioner::new(&[1.0, 2.0], 1, 10.0).bands(), 1);
+        assert_eq!(Partitioner::weighted(&[], &[], 8, 10.0).bands(), 1);
+        assert_eq!(Partitioner::weighted(&[1.0, 2.0], &[], 1, 10.0).bands(), 1);
     }
 
     #[test]
@@ -450,7 +425,7 @@ mod tests {
         // Dense cluster: every band is narrower than r_max, so reach must
         // span several bands, not just adjacent ones.
         let xs: Vec<f64> = (0..80).map(|i| f64::from(i) * 1.0).collect();
-        let p = Partitioner::new(&xs, 8, 50.0);
+        let p = Partitioner::weighted(&xs, &[], 8, 50.0);
         let (lo, hi) = p.reach(40.0);
         assert!(hi - lo >= 4, "reach {lo}..={hi} too narrow");
     }

@@ -57,6 +57,11 @@ const PAR_MIN_ITEMS: usize = 64;
 const PREFETCH_MIN_PER_WORKER: usize = 128;
 
 /// Simulation-wide configuration.
+///
+/// Besides RF and tracing settings it carries three engine knobs —
+/// [`SimConfig::shards`], [`SimConfig::threads`] and
+/// [`SimConfig::rng_streams`]. The link cache, the spatial grid and the
+/// timer tombstones are not optional.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     /// RF parameters shared by all nodes.
@@ -67,21 +72,6 @@ pub struct SimConfig {
     pub trace_capacity: usize,
     /// Interval between mobility position updates.
     pub mobility_tick: Duration,
-    /// Cache per-pair link budgets between topology changes and cull
-    /// transmission fan-out to audible neighbors (see
-    /// [`crate::link_cache`]). Behaviourally transparent — cached and
-    /// uncached runs produce identical traces, metrics and RNG draws —
-    /// so this stays on except when differential-testing the cache
-    /// itself.
-    pub link_cache: bool,
-    /// Drop superseded wake-up timers inside the event queue as O(1)
-    /// generation tombstones instead of re-querying
-    /// [`Firmware::next_wake`] on every stale pop. Behaviourally
-    /// transparent — firmware observes identical callbacks, RNG draws,
-    /// traces and metrics either way; only `events_processed` and the
-    /// stale-timer counters differ — so this stays on except when
-    /// differential-testing the engine itself (tests/engine_diff.rs).
-    pub timer_tombstones: bool,
     /// Number of spatial shards the event engine partitions the world
     /// into (see [`crate::shard`]). `1` (the default) runs the classic
     /// sequential engine; `> 1` gives each spatial band its own calendar
@@ -102,15 +92,6 @@ pub struct SimConfig {
     /// are byte-identical across thread counts under either RNG
     /// derivation (tests/shard_diff.rs).
     pub threads: usize,
-    /// Index audibility candidates with a uniform spatial grid
-    /// ([`crate::grid`]) so a link-cache row fill visits only the 3×3
-    /// cell neighborhood instead of all n nodes. Behaviourally
-    /// transparent — a node outside the candidate set is provably
-    /// beyond `max_audible_range`, so its omitted (silent) entry matches
-    /// what the full computation would conclude — and differential-tested
-    /// in tests/link_cache_diff.rs, so this stays on except when testing
-    /// the grid itself.
-    pub spatial_grid: bool,
     /// Derive per-node RNG streams with the counter-keyed
     /// [`SimRng::stream`] derivation (pure in `(master seed, node id)`)
     /// instead of the classic [`SimRng::fork`] from the root generator's
@@ -118,9 +99,8 @@ pub struct SimConfig {
     /// once per node at [`Simulator::add_mobile_node`], so shard and
     /// thread counts never touch them — but they produce different
     /// draws, so the fork derivation stays the default as the pinned
-    /// differential reference (the same pattern as `timer_tombstones`);
-    /// tests/shard_diff.rs runs the whole battery under both, and no
-    /// engine configuration requires either.
+    /// differential reference; tests/shard_diff.rs runs the whole
+    /// battery under both, and no engine configuration requires either.
     pub rng_streams: bool,
 }
 
@@ -131,11 +111,8 @@ impl Default for SimConfig {
             cad_symbols: 2,
             trace_capacity: 0,
             mobility_tick: Duration::from_secs(1),
-            link_cache: true,
-            timer_tombstones: true,
             shards: 1,
             threads: 1,
-            spatial_grid: true,
             rng_streams: false,
         }
     }
@@ -270,7 +247,7 @@ pub struct Simulator<F: Firmware> {
     seed: u64,
     /// Audibility bound the grid and partitioner are built with.
     audible_range: f64,
-    /// Spatial candidate index ([`SimConfig::spatial_grid`]).
+    /// Spatial candidate index bounding each link-row fill ([`crate::grid`]).
     grid: Grid,
     /// Whether `grid` must be rebuilt before its next use (positions
     /// changed: mobility tick, `set_position`, node addition).
@@ -508,22 +485,18 @@ impl<F: Firmware> Simulator<F> {
         if self.config.shards > 1 && self.shard.is_none() {
             let xs: Vec<f64> = self.state.iter().map(|s| s.position.x).collect();
             let r_max = self.audible_range;
-            // Band edges balance expected *work*, not node count: with
-            // the grid available, a node's weight is its audible-degree
-            // bound (fan-out, interferer sums and row fills all scale
-            // with it). Edge placement is pure load balancing — the
-            // merge stays in global (time, seq) order either way.
-            let parts = if self.config.spatial_grid {
-                self.ensure_grid();
-                let weights: Vec<usize> = self
-                    .state
-                    .iter()
-                    .map(|s| self.grid.degree(s.position))
-                    .collect();
-                Partitioner::weighted(&xs, &weights, self.config.shards, r_max)
-            } else {
-                Partitioner::new(&xs, self.config.shards, r_max)
-            };
+            // Band edges balance expected *work*, not node count: a
+            // node's weight is its audible-degree bound (fan-out,
+            // interferer sums and row fills all scale with it). Edge
+            // placement is pure load balancing — the merge stays in
+            // global (time, seq) order either way.
+            self.ensure_grid();
+            let weights: Vec<usize> = self
+                .state
+                .iter()
+                .map(|s| self.grid.degree(s.position))
+                .collect();
+            let parts = Partitioner::weighted(&xs, &weights, self.config.shards, r_max);
             let bands = parts.bands();
             let mut sh = ShardState {
                 home: self
@@ -548,7 +521,7 @@ impl<F: Firmware> Simulator<F> {
         // Warm the link cache in parallel before the on_start storm:
         // every alive node's row is a pure function of positions, so
         // workers can build them all while the coordinator waits.
-        if self.config.threads > 1 && self.config.link_cache {
+        if self.config.threads > 1 {
             let mut rows = std::mem::take(&mut self.prefetch_scratch);
             rows.clear();
             rows.extend((0..self.state.len()).filter(|&i| self.state[i].alive));
@@ -687,14 +660,6 @@ impl<F: Firmware> Simulator<F> {
         }
     }
 
-    /// `node`'s timer generation in its owning queue (legacy engine).
-    fn wake_generation(&mut self, node: NodeId) -> u64 {
-        match &mut self.shard {
-            Some(sh) => sh.queues[sh.home[node.0]].timer_generation(node),
-            None => self.queue.timer_generation(node),
-        }
-    }
-
     /// Keeps exactly one pending timer event aligned with the firmware's
     /// requested wake time.
     fn sync_wake(&mut self, i: usize) {
@@ -706,27 +671,12 @@ impl<F: Firmware> Simulator<F> {
         if let Some(t) = wake {
             if slot.scheduled_wake != Some(t) {
                 slot.scheduled_wake = Some(t);
-                let at = SimTime::from(t).max(self.now);
-                if self.config.timer_tombstones {
-                    // Tombstones any previously queued timer for this
-                    // node and stamps the new one with a fresh
-                    // generation.
-                    self.schedule_wake(at, NodeId(i));
-                } else {
-                    // Legacy engine behaviour: pile up timer events and
-                    // sort out staleness in `handle_timer`. Stamping
-                    // with the current (never-bumped) generation keeps
-                    // them all live.
-                    let node = NodeId(i);
-                    let gen = self.wake_generation(node);
-                    self.schedule_for(at, node.0, SimEvent::Timer(node, gen));
-                }
+                // Tombstones any previously queued timer for this node
+                // and stamps the new one with a fresh generation.
+                self.schedule_wake(SimTime::from(t).max(self.now), NodeId(i));
             }
-        } else {
-            if self.config.timer_tombstones && slot.scheduled_wake.is_some() {
-                self.cancel_wake(NodeId(i));
-            }
-            self.nodes[i].scheduled_wake = None;
+        } else if slot.scheduled_wake.take().is_some() {
+            self.cancel_wake(NodeId(i));
         }
     }
 
@@ -734,34 +684,19 @@ impl<F: Firmware> Simulator<F> {
         if !self.state[node.0].alive {
             return;
         }
-        let slot = &self.nodes[node.0];
-        if self.config.timer_tombstones {
-            // Every firmware mutation funnels through `fire` →
-            // `sync_wake` (or `kill` → `cancel_timer`), so a timer that
-            // survived tombstoning still matches the firmware's latest
-            // wake request and is due by construction.
-            debug_assert!(
-                slot.firmware
-                    .next_wake()
-                    .is_some_and(|t| SimTime::from(t) <= self.now),
-                "live timer fired before its firmware wake time"
-            );
-            self.nodes[node.0].scheduled_wake = None;
-            self.fire(node.0, |fw, ctx| fw.on_timer(ctx));
-            return;
-        }
-        match slot.firmware.next_wake() {
-            Some(t) if SimTime::from(t) <= self.now => {
-                self.nodes[node.0].scheduled_wake = None;
-                self.fire(node.0, |fw, ctx| fw.on_timer(ctx));
-            }
-            // Stale timer: the firmware moved its wake. Re-sync in case
-            // the new target has no pending event.
-            _ => {
-                self.nodes[node.0].scheduled_wake = None;
-                self.sync_wake(node.0);
-            }
-        }
+        // Every firmware mutation funnels through `fire` → `sync_wake`
+        // (or `kill` → `cancel_wake`), so a timer that survived
+        // tombstoning still matches the firmware's latest wake request
+        // and is due by construction.
+        debug_assert!(
+            self.nodes[node.0]
+                .firmware
+                .next_wake()
+                .is_some_and(|t| SimTime::from(t) <= self.now),
+            "live timer fired before its firmware wake time"
+        );
+        self.nodes[node.0].scheduled_wake = None;
+        self.fire(node.0, |fw, ctx| fw.on_timer(ctx));
     }
 
     /// Adds `i` to the sorted receiving-node index.
@@ -779,9 +714,9 @@ impl<F: Firmware> Simulator<F> {
     }
 
     /// Rebuilds the spatial grid over the current positions if any have
-    /// changed since the last build. No-op when the grid is disabled.
+    /// changed since the last build.
     fn ensure_grid(&mut self) {
-        if self.config.spatial_grid && self.grid_dirty {
+        if self.grid_dirty {
             self.grid_dirty = false;
             let r_max = self.audible_range;
             let Self { grid, state, .. } = self;
@@ -789,27 +724,17 @@ impl<F: Firmware> Simulator<F> {
         }
     }
 
-    /// Fills `out` with row `i`'s candidate set: the grid's 3×3
-    /// neighborhood when the grid is on (a superset of every audible
-    /// node — see [`crate::grid`]), else every node.
-    fn fill_candidates(&mut self, i: usize, out: &mut Vec<usize>) {
-        if self.config.spatial_grid {
-            self.ensure_grid();
-            self.grid.candidates_into(self.state[i].position, out);
-        } else {
-            out.clear();
-            out.extend(0..self.state.len());
-        }
-    }
-
     /// Makes sure row `i` of the link cache is filled for this epoch.
-    /// Only call when [`SimConfig::link_cache`] is on.
+    /// Its candidates are the grid's 3×3 neighborhood, a superset of
+    /// every node audible from `i` (see [`crate::grid`]).
     fn ensure_row(&mut self, i: usize) {
         if self.link_cache.has_row(i) {
             return;
         }
         let mut cands = std::mem::take(&mut self.cand_scratch);
-        self.fill_candidates(i, &mut cands);
+        self.ensure_grid();
+        self.grid
+            .candidates_into(self.state[i].position, &mut cands);
         let (medium, state) = (&self.medium, &self.state);
         let _ = self
             .link_cache
@@ -818,7 +743,7 @@ impl<F: Firmware> Simulator<F> {
     }
 
     /// The (cached) link budget between nodes `i` and `j` at their
-    /// current positions. Only call when [`SimConfig::link_cache`] is on.
+    /// current positions.
     fn link_for(&mut self, i: usize, j: usize) -> Link {
         self.ensure_row(i);
         self.link_cache
@@ -832,7 +757,7 @@ impl<F: Firmware> Simulator<F> {
     /// tick the cached (current-position) power would be wrong for a
     /// frame already on the air.
     fn active_tx_power_mw(&mut self, sender: usize, origin: Position, rx: usize) -> f64 {
-        if self.config.link_cache && self.state[sender].position == origin {
+        if self.state[sender].position == origin {
             self.link_for(sender, rx).power_mw
         } else {
             self.medium
@@ -850,7 +775,7 @@ impl<F: Firmware> Simulator<F> {
     /// Like [`Self::active_tx_power_mw`] but answering the CAD question:
     /// is the transmission audible at `rx`?
     fn active_tx_audible(&mut self, sender: usize, origin: Position, rx: usize) -> bool {
-        if self.config.link_cache && self.state[sender].position == origin {
+        if self.state[sender].position == origin {
             self.link_for(sender, rx).audible
         } else {
             let power = self.medium.received_power(
@@ -863,14 +788,9 @@ impl<F: Firmware> Simulator<F> {
         }
     }
 
-    /// The CAD predicate: any in-flight transmission (other than
-    /// `except`) audible at node `i`?
-    fn channel_busy(&mut self, i: usize, except: Option<NodeId>) -> bool {
-        if self.shard.is_none() && !self.config.link_cache {
-            return self
-                .medium
-                .channel_busy_at(&self.state[i].position, NodeId(i), except);
-        }
+    /// The CAD predicate: any other node's in-flight transmission
+    /// audible at node `i`?
+    fn channel_busy(&mut self, i: usize) -> bool {
         let mut active = std::mem::take(&mut self.active_scratch);
         active.clear();
         // The band roster is a superset of the transmissions audible at
@@ -885,7 +805,7 @@ impl<F: Firmware> Simulator<F> {
         }
         let mut busy = false;
         for &(sender, origin) in &active {
-            if Some(sender) == except || sender.0 == i {
+            if sender.0 == i {
                 continue;
             }
             if self.active_tx_audible(sender.0, origin, i) {
@@ -915,13 +835,10 @@ impl<F: Firmware> Simulator<F> {
             .config
             .threads
             .min(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get));
-        if threads <= 1 || !self.config.link_cache || rows.len() < PREFETCH_MIN_PER_WORKER * threads
-        {
+        if threads <= 1 || rows.len() < PREFETCH_MIN_PER_WORKER * threads {
             return;
         }
         self.ensure_grid();
-        let use_grid = self.config.spatial_grid;
-        let n = self.state.len();
         let Self {
             medium,
             state,
@@ -932,11 +849,7 @@ impl<F: Firmware> Simulator<F> {
         let cache: &LinkCache = link_cache;
         let computed: Vec<(usize, LinkRow)> = par::map_chunks(threads, rows, |_, &i| {
             let mut cands = Vec::new();
-            if use_grid {
-                grid.candidates_into(state[i].position, &mut cands);
-            } else {
-                cands.extend(0..n);
-            }
+            grid.candidates_into(state[i].position, &mut cands);
             let row = cache.compute_row(i, &cands, |k| link_between(medium, state, i, k));
             (i, row)
         });
@@ -989,27 +902,15 @@ impl<F: Firmware> Simulator<F> {
             },
         );
 
-        // Decide how every other node experiences this frame. With the
-        // cache on, the fan-out is `i`'s audible-neighbor list: every
-        // skipped index is provably a no-op in the uncached loop
-        // (inaudible ⇒ no lock, no CAD note, and — since interference
-        // sums are audibility-gated — no interference entry either).
-        // With the cache off it is simply every node, preserving the
-        // historical iteration exactly.
+        // Decide how every other node experiences this frame. The
+        // fan-out is `i`'s audible-neighbor list: an inaudible node
+        // would see no lock, no CAD note and — since interference sums
+        // are audibility-gated — no interference entry either.
         let mut fanout = std::mem::take(&mut self.fanout_scratch);
         fanout.clear();
-        if self.config.link_cache {
-            self.ensure_row(i);
-            if let Some(row) = self.link_cache.cached(i) {
-                fanout.extend(row.entries().filter(|&(_, link)| link.audible));
-            }
-        } else {
-            let (medium, state) = (&self.medium, &self.state);
-            fanout.extend(
-                (0..state.len())
-                    .filter(|&j| j != i && state[j].alive)
-                    .map(|j| (j, link_between(medium, state, i, j))),
-            );
+        self.ensure_row(i);
+        if let Some(row) = self.link_cache.cached(i) {
+            fanout.extend(row.entries().filter(|&(_, link)| link.audible));
         }
         for &(j, link) in &fanout {
             if j == i || !self.state[j].alive {
@@ -1233,7 +1134,7 @@ impl<F: Firmware> Simulator<F> {
             return;
         }
         let node = NodeId(i);
-        let busy_now = self.channel_busy(i, None);
+        let busy_now = self.channel_busy(i);
         let duration = self
             .medium
             .config()
@@ -1256,7 +1157,7 @@ impl<F: Firmware> Simulator<F> {
         if until != self.now {
             return;
         }
-        let busy = busy_seen || self.channel_busy(node.0, None);
+        let busy = busy_seen || self.channel_busy(node.0);
         self.nodes[node.0].radio.to_idle(self.now);
         self.metrics.record_cad(node, busy);
         self.fire(node.0, |fw, ctx| fw.on_cad_done(busy, ctx));
@@ -1302,12 +1203,7 @@ impl<F: Firmware> Simulator<F> {
         }
         self.nodes[i].radio.power_off(self.now);
         self.nodes[i].scheduled_wake = None;
-        if self.config.timer_tombstones {
-            // The legacy engine leaves dead-node timers queued and
-            // filters them in `handle_timer`; tombstoning drops them
-            // inside the queue instead.
-            self.cancel_wake(node);
-        }
+        self.cancel_wake(node);
         self.rx_remove(i);
         self.trace.push(self.now, TraceEvent::Killed { node });
     }
@@ -1403,7 +1299,7 @@ impl<F: Firmware> Simulator<F> {
         // nodes whose firmware will act before the next tick (their
         // transmissions/CADs would fill those rows on the coordinator
         // otherwise). Purely a prefetch — see `prefetch_rows`.
-        if self.config.threads > 1 && self.config.link_cache {
+        if self.config.threads > 1 {
             let horizon = self.now.as_duration() + dt;
             let mut rows = std::mem::take(&mut self.prefetch_scratch);
             rows.clear();
@@ -1524,10 +1420,10 @@ impl<F: Firmware> Simulator<F> {
 }
 
 /// The link budget between nodes `i` and `j`, computed directly from
-/// their current positions — the cache's fill function, and the whole
-/// story when the cache is disabled. A free function over the
-/// worker-visible [`NodeState`] slice so parallel prefetch can evaluate
-/// it without the firmware type or the coordinator's `&mut` access.
+/// their current positions — the cache's fill function. A free function
+/// over the worker-visible [`NodeState`] slice so parallel prefetch can
+/// evaluate it without the firmware type or the coordinator's `&mut`
+/// access.
 fn link_between(medium: &Medium, state: &[NodeState], i: usize, j: usize) -> Link {
     let power = medium.received_power(&state[i].position, &state[j].position, NodeId(i), NodeId(j));
     Link {
@@ -2014,32 +1910,6 @@ mod tests {
         assert!(s.events_processed() >= 3, "{}", s.events_processed());
     }
 
-    /// A spot check that disabling the cache leaves outcomes unchanged
-    /// (the exhaustive differential test lives in tests/link_cache_diff.rs).
-    #[test]
-    fn link_cache_off_matches_on() {
-        let run = |link_cache: bool| {
-            let mut cfg = SimConfig::default();
-            cfg.rf.grey_zone = true;
-            cfg.trace_capacity = 4096;
-            cfg.link_cache = link_cache;
-            let mut s = Simulator::new(cfg, 99);
-            for k in 0..8 {
-                s.add_node(
-                    sender_at(Duration::from_millis(7 * k as u64), vec![k; 12]),
-                    Position::new(f64::from(k) * 90.0, 0.0),
-                );
-            }
-            s.run_for(Duration::from_secs(2));
-            let trace: Vec<_> = s.trace().entries().cloned().collect();
-            (s.metrics().clone(), trace)
-        };
-        let cached = run(true);
-        let uncached = run(false);
-        assert_eq!(cached.0, uncached.0);
-        assert_eq!(cached.1, uncached.1);
-    }
-
     /// A mobile, chatty 80-node run — large enough (> `PAR_MIN_ITEMS`)
     /// that the parallel stepping and prefetch regions genuinely fire.
     fn mobile_fingerprint(mut cfg: SimConfig) -> (Metrics, Vec<(SimTime, TraceEvent)>) {
@@ -2094,18 +1964,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// Spot check: the spatial grid is behaviourally invisible (the
-    /// exhaustive battery lives in tests/link_cache_diff.rs).
-    #[test]
-    fn spatial_grid_off_matches_on() {
-        let on = mobile_fingerprint(SimConfig::default());
-        let cfg = SimConfig {
-            spatial_grid: false,
-            ..SimConfig::default()
-        };
-        assert_eq!(mobile_fingerprint(cfg), on);
     }
 
     /// Per-node stream derivation is engine-invariant — shard and thread

@@ -191,18 +191,16 @@ fn calendar_queue_matches_reference_model() {
                         m.cancel_timer(NodeId(node));
                     }
                     Op::RawLiveTimer { node, at } => {
-                        let stamp = q.timer_generation(NodeId(node));
-                        let model_stamp = m.gen.get(node).copied().unwrap_or(0);
-                        if stamp != model_stamp {
-                            return Err(format!(
-                                "step {step}: generation skew {stamp} vs {model_stamp}"
-                            ));
-                        }
+                        // Stamped with the model's generation: a queue
+                        // whose generation has skewed books it as a
+                        // tombstone, which the live-length check below
+                        // catches at this very step.
+                        let stamp = m.gen.get(node).copied().unwrap_or(0);
                         q.schedule(at, SimEvent::Timer(NodeId(node), stamp));
                         m.schedule(at, SimEvent::Timer(NodeId(node), stamp));
                     }
                     Op::RawStaleTimer { node, at } => {
-                        let stamp = q.timer_generation(NodeId(node)).wrapping_add(100_000);
+                        let stamp = m.gen.get(node).copied().unwrap_or(0).wrapping_add(100_000);
                         q.schedule(at, SimEvent::Timer(NodeId(node), stamp));
                         m.schedule(at, SimEvent::Timer(NodeId(node), stamp));
                     }

@@ -4,7 +4,9 @@
 //! 1. **Partition soundness** — for random topologies and RF configs,
 //!    no audible pair is ever split across bands without a boundary
 //!    channel: every node a transmission can reach lies in a band the
-//!    transmission's roster covers ([`Partitioner::reach`]).
+//!    transmission's roster covers ([`Partitioner::reach`]). The
+//!    partition is the one the engine builds: [`Partitioner::weighted`]
+//!    over each node's grid degree.
 //! 2. **Temporal soundness** — [`min_lookahead`] really is a lower
 //!    bound on every airtime, so an event can never create cross-shard
 //!    work earlier than one lookahead after itself.
@@ -23,6 +25,7 @@ use std::time::Duration;
 
 use lora_phy::propagation::{Position, Shadowing};
 use radio_sim::event::{EventQueue, SimEvent};
+use radio_sim::grid::Grid;
 use radio_sim::medium::{Medium, RfConfig};
 use radio_sim::shard::{max_audible_range, min_lookahead, Partitioner};
 use radio_sim::time::SimTime;
@@ -67,7 +70,10 @@ fn audible_pairs_are_never_split_across_unreachable_bands() {
             let medium = Medium::new(rf.clone());
             let r_max = max_audible_range(rf);
             let xs: Vec<f64> = positions.iter().map(|p| p.x).collect();
-            let parts = Partitioner::new(&xs, *shards, r_max);
+            let mut grid = Grid::new();
+            grid.rebuild(positions, r_max);
+            let weights: Vec<usize> = positions.iter().map(|&p| grid.degree(p)).collect();
+            let parts = Partitioner::weighted(&xs, &weights, *shards, r_max);
             for (a, pa) in positions.iter().enumerate() {
                 let (lo, hi) = parts.reach(pa.x);
                 for (b, pb) in positions.iter().enumerate() {

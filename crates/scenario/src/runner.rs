@@ -132,14 +132,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Enables or disables the simulator's link-budget cache
-    /// (behaviourally transparent; off only for differential testing).
-    #[must_use]
-    pub fn link_cache(mut self, on: bool) -> Self {
-        self.sim.link_cache = on;
-        self
-    }
-
     /// Number of spatial shards for the event engine (behaviourally
     /// transparent; `1` — the default — is the sequential reference,
     /// larger values batch-process range-isolated regions).

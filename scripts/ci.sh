@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate for the repository: formatting, the static-analysis wall
-# (clippy -D warnings + meshlint), a fully offline release build, and
-# the fully offline test suite. Run from anywhere; no network access is
+# (clippy -D warnings + meshlint), warning-free rustdoc, a fully offline
+# release build, and the fully offline test suite. Run from anywhere; no network access is
 # required (the workspace has no registry dependencies).
 #
 #   ./scripts/ci.sh
@@ -23,6 +23,9 @@ cargo build -p loramesher -p lora-phy --no-default-features --offline
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --offline --workspace --no-deps (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "==> meshlint (determinism & robustness rules, ratcheted)"
 cargo run -q --release --offline -p meshlint -- --root . --baseline meshlint.baseline
 
@@ -35,7 +38,7 @@ cargo test -q --offline --workspace
 echo "==> cargo test -q --offline -p loramesher --features crypto (AES-CTR flood payload encryption leg)"
 cargo test -q --offline -p loramesher --features crypto
 
-echo "==> bench_scaling --smoke (link-cache + sharded-engine transparency smoke)"
+echo "==> bench_scaling --smoke (static-grid, sharded-engine and thread-count transparency smoke)"
 cargo run --release --offline -p bench --bin bench_scaling -- --smoke
 
 echo "==> meshsim --shards 4 smoke (sharded engine through the CLI)"

@@ -33,16 +33,7 @@ use radio_sim::{topology, NodeId, SimConfig};
 use scenario::runner::ProtocolChoice;
 use scenario::workload::{self, Target, TrafficEvent};
 use scenario::{seed_list, NetworkBuilder, Runner};
-
-/// FNV-1a 64-bit over the canonical dump.
-fn fnv1a(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use testkit::fnv1a;
 
 /// Serialises everything observable about a finished run: the
 /// wire-level timeline, the PHY metrics, and each node's full
@@ -249,10 +240,10 @@ fn check(family: &str, seed: u64, actual: u64) {
 /// {1, 2} engine matrix, asserting every configuration agrees with the
 /// sequential single-threaded one, and returns that shared hash.
 fn engine_matrix_hash(seed: u64, run: impl Fn(usize, usize) -> String) -> u64 {
-    let reference = fnv1a(&run(1, 1));
+    let reference = fnv1a(run(1, 1).as_bytes());
     for (shards, threads) in [(1usize, 2usize), (4, 1), (4, 2)] {
         assert_eq!(
-            fnv1a(&run(shards, threads)),
+            fnv1a(run(shards, threads).as_bytes()),
             reference,
             "seed {seed}: shards={shards} threads={threads} diverged from the \
              sequential engine"
@@ -344,7 +335,10 @@ fn sweep_aggregates_match_golden() {
         let seeds = seed_list(41, 3);
         scenario::run_parallel(&seeds, jobs, |&seed| {
             let mut runner = run_mesh(seed, 4, 2, true);
-            (fnv1a(&dump(&mut runner)), runner.report().delivered)
+            (
+                fnv1a(dump(&mut runner).as_bytes()),
+                runner.report().delivered,
+            )
         })
     };
     let serial = aggregate(1);
@@ -357,5 +351,5 @@ fn sweep_aggregates_match_golden() {
     for (hash, delivered) in &serial {
         let _ = writeln!(text, "{hash:#018x} {delivered}");
     }
-    check("sweep", 41, fnv1a(&text));
+    check("sweep", 41, fnv1a(text.as_bytes()));
 }

@@ -2,8 +2,8 @@
 //! across the PR 5 layered-stack refactor (`MeshNode` split into
 //! `core::stack::{mac, routing, transport, app}`, host traits unified).
 //!
-//! Unlike `tests/engine_diff.rs`, the refactor has no runtime toggle to
-//! diff against, so these tests pin *constants*: each scenario's full
+//! The refactor has no runtime toggle to diff against, so these tests
+//! pin *constants*: each scenario's full
 //! observable state — simulator trace, PHY metrics, per-node protocol
 //! stats, routing tables, queue/transfer occupancy, app event logs and
 //! traffic reports — is serialised to a canonical dump and FNV-1a
@@ -37,18 +37,7 @@ use radio_sim::mobility::Mobility;
 use radio_sim::{topology, NodeId, SimConfig};
 use scenario::workload::{self, Target, TrafficEvent};
 use scenario::{seed_list, NetworkBuilder, ProtocolChoice, Runner};
-
-/// FNV-1a 64-bit over the canonical dump. Stable across platforms: the
-/// dump is plain text and every float in it comes from Rust's
-/// shortest-roundtrip formatting of deterministic values.
-fn fnv1a(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use testkit::fnv1a;
 
 /// Serialises everything observable about a finished run: the wire-level
 /// timeline, the PHY metrics, and each node's full protocol-visible
@@ -303,7 +292,7 @@ fn static_churn_matches_golden() {
             .map(|m| m.stats().forwarded)
             .sum();
         assert!(forwarded > 0, "seed {seed}: no multi-hop forwarding");
-        check("static", seed, fnv1a(&text));
+        check("static", seed, fnv1a(text.as_bytes()));
     }
 }
 
@@ -316,7 +305,7 @@ fn mobile_matches_golden() {
             runner.phy_metrics().frames_transmitted > 0,
             "seed {seed}: no traffic"
         );
-        check("mobile", seed, fnv1a(&text));
+        check("mobile", seed, fnv1a(text.as_bytes()));
     }
 }
 
@@ -331,7 +320,7 @@ fn full_mesh_matches_golden() {
             !report.reliable_latencies.is_empty(),
             "seed {seed}: reliable transfer never completed"
         );
-        check("full", seed, fnv1a(&text));
+        check("full", seed, fnv1a(text.as_bytes()));
     }
 }
 
@@ -343,12 +332,12 @@ fn baselines_match_golden() {
         flooding.report().delivered > 0,
         "flooding delivered nothing"
     );
-    check("flooding", 11, fnv1a(&text));
+    check("flooding", 11, fnv1a(text.as_bytes()));
 
     let mut star = run_baseline(11, ProtocolChoice::Star { gateway: 0 });
     let text = dump(&mut star);
     assert!(star.report().delivered > 0, "star delivered nothing");
-    check("star", 11, fnv1a(&text));
+    check("star", 11, fnv1a(text.as_bytes()));
 }
 
 /// PR 1's parallel sweep on top of scenario 1: per-seed hashes and the
@@ -360,7 +349,10 @@ fn sweep_aggregates_match_golden() {
         let seeds = seed_list(29, 3);
         scenario::run_parallel(&seeds, jobs, |&seed| {
             let mut runner = run_static_churn(seed);
-            (fnv1a(&dump(&mut runner)), runner.report().delivered)
+            (
+                fnv1a(dump(&mut runner).as_bytes()),
+                runner.report().delivered,
+            )
         })
     };
     let serial = aggregate(1);
@@ -373,5 +365,5 @@ fn sweep_aggregates_match_golden() {
     for (hash, delivered) in &serial {
         let _ = writeln!(text, "{hash:#018x} {delivered}");
     }
-    check("sweep", 29, fnv1a(&text));
+    check("sweep", 29, fnv1a(text.as_bytes()));
 }
